@@ -14,10 +14,10 @@
 // sharded in-memory result cache in front of the optional --cache-dir
 // disk tier, so a restarted daemon serves warm from disk.
 //
-// --warm-from-corpus preloads every persisted task-graph sub-artifact of
-// every corpus instance from the --cache-dir disk tier into the sharded
-// cache before the socket opens, so the first job of a session is warm
-// (requires --corpus and --cache-dir).
+// --warm-from-corpus preloads every persisted sub-artifact (spanning tree,
+// separator, DFS, level separator) of every corpus instance from the
+// --cache-dir disk tier into the sharded cache before the socket opens, so
+// the first job of a session is warm (requires --corpus and --cache-dir).
 //
 // --chaos-crash enables the deterministic chaos harness: a seeded coin
 // re-runs jobs as if a worker had crashed mid-job; delivered payloads are
@@ -27,7 +27,6 @@
 // SIGINT/SIGTERM; both paths finish every admitted job, write the
 // --metrics-out / --trace-out dumps, and exit 0.
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,13 +34,6 @@
 #include "daemon/server.hpp"
 
 namespace {
-
-plansep::daemon::Server* g_server = nullptr;
-
-void on_signal(int) {
-  // Async-signal-safe: just flip the flag wait() polls.
-  if (g_server != nullptr) g_server->request_stop();
-}
 
 bool flag_value(const std::string& arg, const char* name, std::string* out) {
   const std::string prefix = std::string("--") + name + "=";
@@ -115,9 +107,8 @@ int main(int argc, char** argv) {
   }
 
   daemon::Server server(opts);
-  g_server = &server;
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
+  // The handlers only store to a lock-free flag that wait() polls.
+  daemon::install_stop_signal_handlers();
 
   try {
     server.start();
@@ -143,6 +134,5 @@ int main(int argc, char** argv) {
                m.counter("daemon/rejected_quota"),
                m.counter("daemon/rejected_draining"),
                m.counter("daemon/orphaned_responses"));
-  g_server = nullptr;
   return 0;
 }

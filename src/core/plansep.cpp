@@ -8,8 +8,14 @@ SeparatorRun compute_cycle_separator(const planar::EmbeddedGraph& g,
                                      planar::NodeId root) {
   PLANSEP_CHECK_MSG(g.num_components() == 1, "graph must be connected");
   shortcuts::PartwiseEngine engine(g, root);
+  return compute_cycle_separator(engine);
+}
+
+SeparatorRun compute_cycle_separator(shortcuts::PartwiseEngine& engine) {
+  const planar::EmbeddedGraph& g = engine.graph();
   std::vector<int> part(static_cast<std::size_t>(g.num_nodes()), 0);
-  sub::PartSet ps = sub::build_part_set(g, part, 1, engine, {root});
+  sub::PartSet ps =
+      sub::build_part_set(g, part, 1, engine, {engine.global_tree().root});
   separator::SeparatorEngine sep(engine);
   separator::SeparatorResult res = sep.compute(ps);
   SeparatorRun out;
@@ -25,7 +31,12 @@ SeparatorRun compute_cycle_separator(const planar::EmbeddedGraph& g,
 DfsRun compute_dfs_tree(const planar::EmbeddedGraph& g, planar::NodeId root) {
   PLANSEP_CHECK_MSG(g.num_components() == 1, "graph must be connected");
   shortcuts::PartwiseEngine engine(g, root);
-  DfsRun out{dfs::build_dfs_tree(g, root, engine),
+  return compute_dfs_tree(engine);
+}
+
+DfsRun compute_dfs_tree(shortcuts::PartwiseEngine& engine) {
+  const planar::EmbeddedGraph& g = engine.graph();
+  DfsRun out{dfs::build_dfs_tree(g, engine.global_tree().root, engine),
              dfs::DfsCheck{},
              engine.diameter_bound()};
   out.check = dfs::check_dfs_tree(g, out.build.tree);

@@ -60,6 +60,12 @@ struct SeparatorRun {
 SeparatorRun compute_cycle_separator(const planar::EmbeddedGraph& g,
                                      planar::NodeId root);
 
+/// The same separator over a prepared engine (its graph, rooted at its
+/// global tree's root). The result, setup cost included, is identical to
+/// the (g, root) call; a caller that also builds a DFS tree shares one
+/// engine between the two.
+SeparatorRun compute_cycle_separator(shortcuts::PartwiseEngine& engine);
+
 /// One-call DFS tree (Theorem 2) with validation.
 struct DfsRun {
   dfs::DfsBuildResult build;
@@ -68,5 +74,8 @@ struct DfsRun {
 };
 
 DfsRun compute_dfs_tree(const planar::EmbeddedGraph& g, planar::NodeId root);
+
+/// The same DFS tree over a prepared engine (see the separator overload).
+DfsRun compute_dfs_tree(shortcuts::PartwiseEngine& engine);
 
 }  // namespace plansep

@@ -252,7 +252,6 @@ void Dispatcher::execute(Item item) {
   metrics_.add("daemon/completed");
   if (result.status == "deadline") metrics_.add("daemon/deadline_missed");
   if (result.status == "error") metrics_.add("daemon/errors");
-  metrics_.taskgraph_completed(result.taskgraph);
   metrics_.job_completed(item.sub.id, result.attempts);
 
   if (item.done) {

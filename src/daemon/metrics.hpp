@@ -29,7 +29,6 @@
 
 #include "obs/metrics.hpp"
 #include "serve/cache.hpp"
-#include "taskgraph/graph.hpp"
 
 namespace plansep::daemon {
 
@@ -61,23 +60,6 @@ class DaemonMetrics {
     reg_.end_span(token);
   }
 
-  /// Folds one completed job's task-graph execution counters in as
-  /// daemon/taskgraph_tasks_run, daemon/taskgraph_cache_served,
-  /// daemon/taskgraph_io_tasks, the daemon/taskgraph_overlapped_io_ms
-  /// histogram, and per-task run counts under daemon/taskgraph_runs/<task>.
-  /// No-op for monolithic-path jobs (all counters zero).
-  void taskgraph_completed(const taskgraph::TaskGraphCounters& tg) {
-    if (tg.tasks_run == 0 && tg.cache_served == 0 && tg.io_tasks == 0) return;
-    std::lock_guard<std::mutex> lk(mu_);
-    reg_.add("daemon/taskgraph_tasks_run", tg.tasks_run);
-    reg_.add("daemon/taskgraph_cache_served", tg.cache_served);
-    reg_.add("daemon/taskgraph_io_tasks", tg.io_tasks);
-    reg_.histogram("daemon/taskgraph_overlapped_io_ms").add(tg.overlapped_io_ms);
-    for (const auto& [task, runs] : tg.runs) {
-      reg_.add("daemon/taskgraph_runs/" + task, runs);
-    }
-  }
-
   /// Current value of a counter (0 when never touched).
   long long counter(const char* name) const {
     std::lock_guard<std::mutex> lk(mu_);
@@ -102,7 +84,6 @@ class DaemonMetrics {
     copy.add("daemon/cache_misses", c.misses);
     copy.add("daemon/cache_evictions", c.evictions);
     copy.add("daemon/cache_served_warm", c.served_without_compute());
-    copy.add("daemon/cache_flight_joins", c.flight_joins);
     copy.add("daemon/cache_warmed", c.warmed);
     return copy.to_json();
   }

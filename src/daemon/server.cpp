@@ -5,8 +5,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -15,11 +17,21 @@
 
 #include "obs/json.hpp"
 #include "obs/trace_export.hpp"
-#include "taskgraph/pipeline.hpp"
+#include "serve/stages.hpp"
 
 namespace plansep::daemon {
 
 namespace {
+
+// The stop request of a signal handler: a handler may touch nothing but a
+// lock-free atomic (locking state_mu_ from one deadlocks when the signal
+// lands on a thread already holding it), so wait() polls this flag on its
+// tick instead of being notified.
+std::atomic<bool> g_signal_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "a signal handler may only store to a lock-free atomic");
+
+void on_stop_signal(int) { g_signal_stop.store(true); }
 
 // Writes all of buf to fd, MSG_NOSIGNAL so a dead peer surfaces as EPIPE
 // instead of killing the process. Returns false on any write failure.
@@ -107,7 +119,7 @@ void Server::start() {
     // Preload before the socket exists: every connection ever accepted
     // sees the warmed cache, so "warm hits before any submit" holds by
     // construction.
-    const taskgraph::WarmReport rep = taskgraph::warm_from_corpus(
+    const serve::WarmReport rep = serve::warm_from_corpus(
         *cache_, opts_.dispatcher.batch.corpus_dir);
     metrics_.add("daemon/warm_instances", rep.instances);
     metrics_.add("daemon/warm_artifacts", rep.artifacts);
@@ -506,13 +518,19 @@ void Server::handle_drain(const std::shared_ptr<Session>& s,
 
 void Server::wait() {
   std::unique_lock<std::mutex> lk(state_mu_);
-  state_cv_.wait_for(lk, std::chrono::milliseconds(200),
-                     [&] { return stop_requested_ || stopped_; });
-  while (!stop_requested_ && !stopped_) {
+  // The 200 ms tick bounds how long a signal's stop request goes unseen
+  // (a handler cannot notify state_cv_). The wait that sees it consumes
+  // it.
+  while (!stop_requested_ && !stopped_ && !g_signal_stop.exchange(false)) {
     state_cv_.wait_for(lk, std::chrono::milliseconds(200));
   }
   lk.unlock();
   stop();
+}
+
+void install_stop_signal_handlers() {
+  std::signal(SIGINT, on_stop_signal);
+  std::signal(SIGTERM, on_stop_signal);
 }
 
 void Server::request_stop() {

@@ -58,10 +58,10 @@ struct ServerOptions {
   /// Period of the live metrics/trace dump thread, ms; 0 disables.
   long long dump_every_ms = 0;
   /// Boot warm-up: before accepting connections, preload every warmable
-  /// task-graph artifact of every corpus instance from the cache disk
-  /// tier into the sharded cache (taskgraph::warm_from_corpus), so the
-  /// first job of a session is warm. Requires the dispatcher's corpus dir
-  /// and a cache_disk_dir; counted as daemon/warm_instances and
+  /// sub-artifact of every corpus instance from the cache disk tier into
+  /// the sharded cache (serve::warm_from_corpus), so the first job of a
+  /// session is warm. Requires the dispatcher's corpus dir and a
+  /// cache_disk_dir; counted as daemon/warm_instances and
   /// daemon/warm_artifacts.
   bool warm_from_corpus = false;
 };
@@ -82,8 +82,9 @@ class Server {
   void start();
   /// Blocks until a drain completes or stop() is called.
   void wait();
-  /// Requests shutdown from outside the protocol (signal handlers set a
-  /// flag; wait() performs the actual teardown). Safe to call repeatedly.
+  /// Requests shutdown from outside the protocol (wait() performs the
+  /// actual teardown). Safe to call repeatedly. Locks, so never from a
+  /// signal handler: install_stop_signal_handlers() is the signal path.
   void request_stop();
   /// Drains the dispatcher, writes the metrics/trace dumps, closes every
   /// session and joins all threads. Idempotent.
@@ -133,5 +134,10 @@ class Server {
   bool stopped_ = false;
   std::atomic<bool> accepting_{false};
 };
+
+/// Installs SIGINT and SIGTERM handlers that only store to a
+/// process-wide lock-free flag, which the next Server::wait() polls on its
+/// 200 ms tick and consumes (plansepd's shutdown path).
+void install_stop_signal_handlers();
 
 }  // namespace plansep::daemon

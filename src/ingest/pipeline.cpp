@@ -147,7 +147,8 @@ IngestResult ingest_text(std::istream& in, const IngestOptions& opts) {
   out.meta.fingerprint = core::topology_fingerprint(out.graph);
   if (!opts.corpus_root.empty()) {
     out.corpus_file =
-        io::store_in_corpus(opts.corpus_root, opts.family, out.graph);
+        io::store_in_corpus(opts.corpus_root, opts.family, out.graph,
+                            out.meta.seed, out.meta.fingerprint);
   }
   return out;
 }

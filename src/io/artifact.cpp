@@ -545,10 +545,15 @@ DfsArtifact dfs_artifact_from_tree(const dfs::PartialDfsTree& tree) {
 
 std::vector<std::uint8_t> encode_graph_artifact(const planar::EmbeddedGraph& g,
                                                 const ArtifactMeta* meta) {
-  Artifact a;
   ArtifactMeta m = meta != nullptr ? *meta : ArtifactMeta{};
   m.fingerprint = core::topology_fingerprint(g);
-  a.add(SectionId::kMeta, encode_meta(m));
+  return encode_fingerprinted_graph_artifact(g, m);
+}
+
+std::vector<std::uint8_t> encode_fingerprinted_graph_artifact(
+    const planar::EmbeddedGraph& g, const ArtifactMeta& meta) {
+  Artifact a;
+  a.add(SectionId::kMeta, encode_meta(meta));
   a.add(SectionId::kGraph, encode_graph(g));
   if (g.has_coordinates()) {
     a.add(SectionId::kCoords, encode_coords(g.coordinates()));

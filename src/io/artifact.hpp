@@ -60,7 +60,7 @@ enum class SectionId : std::uint32_t {
   kDfsTree = 5,    ///< DFS tree (parents/depths) + build cost
   kHierarchy = 6,  ///< recursive separator decomposition (pieces + cost)
   kQueryIndex = 7, ///< distance-oracle index over a kHierarchy section
-  kSpanningTree = 8,    ///< global BFS spanning tree (task-graph sub-artifact)
+  kSpanningTree = 8,    ///< global BFS spanning tree (shared sub-artifact)
   kLevelSeparator = 9,  ///< BFS-level baseline separator result
 };
 
@@ -139,7 +139,7 @@ std::vector<std::uint8_t> encode_dfs(const DfsArtifact& d);  ///< kDfsTree codec
 /// Decodes a kDfsTree payload.
 DfsArtifact decode_dfs(const std::vector<std::uint8_t>& bytes);
 
-/// A persisted global BFS spanning tree — the task graph's most shared
+/// A persisted global BFS spanning tree — the most shared per-instance
 /// sub-artifact (one tree feeds the deterministic separator, the baseline
 /// level separator, the DFS builder and the query hierarchy).
 struct SpanningTreeArtifact {
@@ -186,6 +186,13 @@ DfsArtifact dfs_artifact_from_tree(const dfs::PartialDfsTree& tree);
 /// a single-instance artifact container.
 std::vector<std::uint8_t> encode_graph_artifact(
     const planar::EmbeddedGraph& g, const ArtifactMeta* meta = nullptr);
+
+/// encode_graph_artifact for a caller that already holds g's fingerprint:
+/// meta.fingerprint is stamped as given instead of being recomputed (the
+/// corpus store hashes each instance once). A wrong value is caught on
+/// load, which verifies the fingerprint.
+std::vector<std::uint8_t> encode_fingerprinted_graph_artifact(
+    const planar::EmbeddedGraph& g, const ArtifactMeta& meta);
 
 /// A loaded graph instance: the embedding plus its provenance.
 struct LoadedGraph {

@@ -19,8 +19,13 @@ std::string corpus_path(const std::string& root, const std::string& family,
 std::string store_in_corpus(const std::string& root, const std::string& family,
                             const planar::EmbeddedGraph& g,
                             std::uint64_t seed) {
-  const std::uint64_t fp = core::topology_fingerprint(g);
-  const std::string path = corpus_path(root, family, fp);
+  return store_in_corpus(root, family, g, seed, core::topology_fingerprint(g));
+}
+
+std::string store_in_corpus(const std::string& root, const std::string& family,
+                            const planar::EmbeddedGraph& g, std::uint64_t seed,
+                            std::uint64_t fingerprint) {
+  const std::string path = corpus_path(root, family, fingerprint);
   std::error_code ec;
   if (fs::exists(path, ec)) return path;  // content-addressed: already stored
   fs::create_directories(fs::path(path).parent_path(), ec);
@@ -31,7 +36,8 @@ std::string store_in_corpus(const std::string& root, const std::string& family,
   ArtifactMeta meta;
   meta.family = family;
   meta.seed = seed;
-  save_graph(path, g, &meta);
+  meta.fingerprint = fingerprint;
+  write_file(path, encode_fingerprinted_graph_artifact(g, meta));
   return path;
 }
 

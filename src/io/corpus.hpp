@@ -46,6 +46,13 @@ std::string store_in_corpus(const std::string& root, const std::string& family,
                             const planar::EmbeddedGraph& g,
                             std::uint64_t seed = 0);
 
+/// store_in_corpus for a caller that already computed g's fingerprint
+/// (core::topology_fingerprint): the instance is hashed once, not again
+/// here. The stored bytes are identical.
+std::string store_in_corpus(const std::string& root, const std::string& family,
+                            const planar::EmbeddedGraph& g, std::uint64_t seed,
+                            std::uint64_t fingerprint);
+
 /// Loads the instance with the given address; throws FormatError if the
 /// file is absent or malformed (fingerprint verified on load).
 LoadedGraph load_from_corpus(const std::string& root,

@@ -4,24 +4,16 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fingerprint.hpp"
 #include "io/artifact.hpp"
-#include "io/corpus.hpp"
 #include "obs/metrics.hpp"
-#include "planar/generators.hpp"
-#include "shortcuts/partwise.hpp"
-#include "taskgraph/graph.hpp"
-#include "taskgraph/pipeline.hpp"
+#include "serve/stages.hpp"
 
 namespace plansep::query {
 
 serve::CacheKey index_cache_key(std::uint64_t fingerprint, NodeId root,
                                 int leaf_size) {
-  const std::uint64_t config_hash =
-      core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                     static_cast<std::uint64_t>(root),
-                     static_cast<std::uint64_t>(leaf_size));
-  return serve::CacheKey{fingerprint, kIndexAlgorithmId, config_hash};
+  return serve::artifact_key(fingerprint, kIndexAlgorithmId, root,
+                             static_cast<std::uint64_t>(leaf_size));
 }
 
 EngineCache::EngineCache(std::size_t capacity)
@@ -102,79 +94,35 @@ QueryOutcome run_query_job(const QueryJob& job,
                                " outside [1, 2^20]");
     }
 
-    // --- acquire the instance (generate-or-load, as execute_job does) ----
-    planar::EmbeddedGraph g;
-    planar::NodeId root = 0;
-    std::string family = job.instance.family;
-    if (!job.instance.graph_path.empty()) {
-      io::LoadedGraph loaded = io::load_graph(job.instance.graph_path);
-      g = std::move(loaded.graph);
-      if (!loaded.meta.family.empty()) family = loaded.meta.family;
-    } else {
-      const auto fam = planar::family_from_name(job.instance.family);
-      if (!fam) {
-        throw std::runtime_error("unknown family '" + job.instance.family +
-                                 "'");
-      }
-      planar::GeneratedGraph gg =
-          planar::make_instance(*fam, job.instance.n, job.instance.seed);
-      g = std::move(gg.graph);
-      root = gg.root_hint;
-      if (!opts.corpus_dir.empty()) {
-        io::store_in_corpus(opts.corpus_dir, job.instance.family, g,
-                            job.instance.seed);
-      }
-    }
+    serve::Instance inst =
+        serve::acquire_instance(job.instance, opts.corpus_dir);
+    const planar::EmbeddedGraph& g = *inst.graph;
     const NodeId n = g.num_nodes();
     check_pairs(job.pairs, n, "query pair");
     check_pairs(job.dead_edges, n, "dead edge");
 
     // --- the persisted index, through the shared result cache -----------
-    const std::uint64_t fingerprint = core::topology_fingerprint(g);
     const serve::CacheKey key =
-        index_cache_key(fingerprint, root, job.leaf_size);
-    serve::ArtifactCache::Value bytes;
-    if (opts.taskgraph) {
-      // The recorded query graph replays the closure below stage by stage
-      // (spanning tree → engine → hierarchy → index). Its query_index
-      // task overrides the key config with index_cache_key's mix, so the
-      // persisted index artifact lands under exactly `key`; the
-      // spanning-tree sub-artifact keys on the plain root mix, shared
-      // with batch jobs on the same fingerprint.
-      taskgraph::JobInputs in;
-      in.graph = &g;
-      in.root = root;
-      in.fingerprint = fingerprint;
-      in.config_hash =
-          core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                         static_cast<std::uint64_t>(root));
-      in.family = family;
-      in.seed = job.instance.seed;
-      in.leaf_size = job.leaf_size;
-      in.build_threads = std::max(1, opts.threads);
-      taskgraph::ExecOptions eo;
-      eo.cache = &cache;
-      taskgraph::Execution exec(taskgraph::query_graph(), in, eo);
-      bytes = exec.request(taskgraph::kQueryIndexTask);
-      exec.finish_io();
-    } else {
-      bytes = cache.get_or_compute(key, [&] {
-        shortcuts::PartwiseEngine part_engine(g, root);
-        const separator::SeparatorHierarchy h =
-            separator::build_hierarchy(g, part_engine, job.leaf_size);
-        // Fanning the per-piece solves over opts.threads is byte-identical
-        // to the serial build (disjoint writes), so the cached artifact is
-        // the same no matter who computed it.
-        const QueryIndex qi =
-            build_query_index(g, h, job.leaf_size, std::max(1, opts.threads));
-        io::Artifact a;
-        a.add(io::SectionId::kMeta,
-              io::encode_meta({family, job.instance.seed, fingerprint}));
-        a.add(io::SectionId::kHierarchy, io::encode_hierarchy({n, h}));
-        a.add(io::SectionId::kQueryIndex, io::encode_query_index(qi));
-        return io::assemble(a);
-      });
-    }
+        index_cache_key(inst.fingerprint, inst.root, job.leaf_size);
+    const serve::ArtifactCache::Value bytes = cache.get_or_compute(key, [&] {
+      // Scoped to the compute: the engine is freed before the answering
+      // below decodes the index.
+      serve::JobEngine shared(inst, cache);
+      const separator::SeparatorHierarchy h =
+          separator::build_hierarchy(g, shared.engine(), job.leaf_size);
+      // Fanning the per-piece solves over opts.threads is byte-identical
+      // to the serial build (disjoint writes), so the cached artifact is
+      // the same no matter who computed it.
+      const QueryIndex qi =
+          build_query_index(g, h, job.leaf_size, std::max(1, opts.threads));
+      io::Artifact a;
+      a.add(io::SectionId::kMeta,
+            io::encode_meta({inst.family, job.instance.seed, inst.fingerprint}));
+      a.add(io::SectionId::kHierarchy, io::encode_hierarchy({n, h}));
+      a.add(io::SectionId::kQueryIndex, io::encode_query_index(qi));
+      return io::assemble(a);
+    });
+    inst.finish();
 
     // --- one bytes→answers path, warm or cold ----------------------------
     std::shared_ptr<QueryEngine> engine;

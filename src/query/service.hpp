@@ -8,13 +8,15 @@
 // n, seed, or an explicit .psg path), a hierarchy leaf size, a batch of
 // (u, v) pairs, and an optional list of dead edges. run_query_job:
 //
-//   1. acquires the instance exactly like serve::execute_job
-//      (generate-or-load, corpus store);
+//   1. acquires the instance through serve::acquire_instance, like every
+//      batch and daemon job (generate-or-load, corpus store);
 //   2. get_or_computes the persisted hierarchy+index artifact through the
 //      shared serve::ArtifactCache under the key
 //      (fingerprint, "hier-index@v1", hash(root, leaf_size)) — a .psg
 //      container with kMeta + kHierarchy + kQueryIndex sections, so a
-//      disk-tier cache warm-loads the oracle across process restarts;
+//      disk-tier cache warm-loads the oracle across process restarts. A
+//      miss builds the hierarchy over the "spantree@v1" sub-artifact it
+//      shares with batch jobs on the same fingerprint (serve/stages.hpp);
 //   3. decodes the artifact bytes into a QueryEngine — cold and warm runs
 //      share this one bytes→answers path, which is why answers are
 //      byte-identical across cache temperature — optionally memoized in

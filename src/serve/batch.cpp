@@ -11,14 +11,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "baselines/level_separator.hpp"
 #include "congest/thread_pool.hpp"
 #include "core/fingerprint.hpp"
 #include "core/plansep.hpp"
 #include "faults/controller.hpp"
 #include "io/artifact.hpp"
-#include "io/corpus.hpp"
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
+#include "serve/stages.hpp"
 #include "serve/verify.hpp"
 
 namespace plansep::serve {
@@ -80,7 +81,6 @@ struct JobRun {
   std::optional<SepRow> sep;
   std::optional<DfsRow> dfs;
   std::optional<BaselineRow> baseline;
-  taskgraph::TaskGraphCounters tg;
 };
 
 std::string render_row(const JobRun& r) {
@@ -219,184 +219,141 @@ BaselineRow baseline_row_from_bytes(const planar::EmbeddedGraph& g,
   return row;
 }
 
+// The artifact computes of one job's three stages.
+struct StageComputes {
+  ArtifactCache::Compute separator, dfs, baseline;
+};
+
+// Fault-free computes: Theorem 1, Theorem 2 and the level search, all
+// over the job's one shared spanning tree and engine.
+StageComputes shared_engine_computes(const planar::EmbeddedGraph& g,
+                                     JobEngine& shared) {
+  StageComputes c;
+  c.separator = [&shared] {
+    const SeparatorRun sr = compute_cycle_separator(shared.engine());
+    return single_section(io::SectionId::kSeparator,
+                          io::encode_separator({sr.separator, sr.cost}));
+  };
+  c.dfs = [&shared] {
+    const DfsRun dr = compute_dfs_tree(shared.engine());
+    io::DfsArtifact da = io::dfs_artifact_from_tree(dr.build.tree);
+    da.phases = dr.build.phases;
+    da.cost = dr.build.cost;
+    return single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
+  };
+  c.baseline = [&g, &shared] {
+    return single_section(io::SectionId::kLevelSeparator,
+                          io::encode_level_separator(
+                              {baselines::bfs_level_separator(
+                                  g, shared.spanning_tree())}));
+  };
+  return c;
+}
+
+// Fault-injected computes: the recovery drivers, each building its own
+// engine under the installed fault plan. `attempts` keeps the largest
+// attempt count seen.
+StageComputes recovery_computes(const planar::EmbeddedGraph& g,
+                                planar::NodeId root,
+                                const faults::RetryPolicy& retry,
+                                int& attempts) {
+  StageComputes c;
+  c.separator = [&g, root, &retry, &attempts] {
+    faults::RecoveredSeparator rec =
+        faults::compute_separator_with_recovery(g, root, retry);
+    attempts = std::max(attempts, rec.recovery.attempts);
+    if (!rec.recovery.ok) {
+      throw std::runtime_error("separator recovery failed: " +
+                               rec.recovery.failure);
+    }
+    return single_section(
+        io::SectionId::kSeparator,
+        io::encode_separator({rec.result->parts.at(0), rec.cost}));
+  };
+  c.dfs = [&g, root, &retry, &attempts] {
+    faults::RecoveredDfs rec =
+        faults::build_dfs_tree_with_recovery(g, root, retry);
+    attempts = std::max(attempts, rec.recovery.attempts);
+    if (!rec.recovery.ok) {
+      throw std::runtime_error("dfs recovery failed: " + rec.recovery.failure);
+    }
+    io::DfsArtifact da = io::dfs_artifact_from_tree(rec.build->tree);
+    da.phases = rec.build->phases;
+    da.cost = rec.cost;
+    return single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
+  };
+  c.baseline = [&g, root] {
+    // The level search is a pure function of the BFS wave, which is
+    // deterministic under a fault plan: no recovery driver needed.
+    return single_section(
+        io::SectionId::kLevelSeparator,
+        io::encode_level_separator({baselines::bfs_level_separator(g, root)}));
+  };
+  return c;
+}
+
 JobRun execute_job(const JobSpec& spec, std::uint64_t index,
                    const BatchOptions& opts, ArtifactCache& cache) {
   JobRun run;
   run.spec = &spec;
   run.index = index;
   const auto start = Clock::now();
-  const auto expired = [&] {
-    return spec.deadline_ms >= 0 && elapsed_ms(start) >= spec.deadline_ms;
-  };
 
   try {
-    // --- acquire the instance (generate-or-load) -------------------------
-    // Fault-injected jobs always take the monolithic recovery path; the
-    // task graph serves every fault-free job (unless PLANSEP_TASKGRAPH=0).
-    const bool faulty = spec.faults.enabled();
-    const bool dag = opts.taskgraph && !faulty;
-
-    planar::EmbeddedGraph g;
-    planar::NodeId root = 0;
-    bool generated = false;
-    if (!spec.graph_path.empty()) {
-      io::LoadedGraph loaded = io::load_graph(spec.graph_path);
-      g = std::move(loaded.graph);
-      run.family = loaded.meta.family;
-    } else {
-      const auto fam = planar::family_from_name(spec.family);
-      if (!fam) {
-        throw std::runtime_error("unknown family '" + spec.family + "'");
-      }
-      planar::GeneratedGraph gg =
-          planar::make_instance(*fam, spec.n, spec.seed);
-      g = std::move(gg.graph);
-      root = gg.root_hint;
-      generated = true;
-      // The DAG path stores through its IO task instead, overlapped with
-      // the compute stages.
-      if (!opts.corpus_dir.empty() && !dag) {
-        io::store_in_corpus(opts.corpus_dir, spec.family, g, spec.seed);
-      }
-    }
+    Instance inst = acquire_instance(spec, opts.corpus_dir);
+    const planar::EmbeddedGraph& g = *inst.graph;
     run.have_graph = true;
+    run.family = inst.family;
     run.nodes = g.num_nodes();
     run.edges = g.num_edges();
-    run.fingerprint = core::topology_fingerprint(g);
-    const std::uint64_t config_hash =
-        core::mix_seed(0x726f6f7400000000ULL /* "root" */,
-                       static_cast<std::uint64_t>(root));
+    run.fingerprint = inst.fingerprint;
 
     // Faulty jobs install their controller for the whole job: both stages
     // draw from one deterministic epoch sequence, and retries see fresh
     // faults. run_batch guarantees such jobs execute serially, so the
     // process-global injector never leaks into a concurrent job.
+    const bool faulty = spec.faults.enabled();
     std::optional<faults::FaultController> ctl;
     std::optional<faults::ScopedFaultInjection> inj;
     if (faulty) {
       ctl.emplace(spec.faults, spec.fault_seed);
       inj.emplace(*ctl);
     }
+    JobEngine shared(inst, cache);
+    const StageComputes computes =
+        faulty ? recovery_computes(g, inst.root, opts.retry, run.attempts)
+               : shared_engine_computes(g, shared);
 
-    // One task-graph execution per job: the memo shares the spanning tree
-    // between this job's stages; the cache's single-flight shares it with
-    // concurrent jobs on the same fingerprint. IO (the corpus store)
-    // starts now, overlapped with the stages below.
-    std::optional<taskgraph::Execution> exec;
-    if (dag) {
-      taskgraph::JobInputs tin;
-      tin.graph = &g;
-      tin.root = root;
-      tin.fingerprint = run.fingerprint;
-      tin.config_hash = config_hash;
-      tin.corpus_dir = opts.corpus_dir;
-      tin.family = spec.family;
-      tin.seed = spec.seed;
-      tin.store_corpus = generated && !opts.corpus_dir.empty();
-      taskgraph::ExecOptions topts;
-      topts.cache = &cache;
-      exec.emplace(taskgraph::pipeline_graph(), tin, topts);
-    }
-
-    // --- separator stage -------------------------------------------------
+    // One stage: the deadline check, the artifact bytes, the bytes→row
+    // decode. Fault-free bytes come through the cache; fault-injected
+    // ones straight from the recovery driver, bypassing it, because their
+    // costs differ from the fault-free artifact's.
+    const auto stage = [&](auto& row, auto decode, const char* artifact,
+                           const ArtifactCache::Compute& compute) {
+      if (run.status == "deadline") return;
+      if (spec.deadline_ms >= 0 && elapsed_ms(start) >= spec.deadline_ms) {
+        run.status = "deadline";
+        return;
+      }
+      const ArtifactCache::Value bytes =
+          faulty ? std::make_shared<const std::vector<std::uint8_t>>(compute())
+                 : cache.get_or_compute(
+                       artifact_key(inst.fingerprint, artifact, inst.root),
+                       compute);
+      row = decode(g, *bytes);
+    };
     if (spec.algo == Algo::kSeparator || spec.algo == Algo::kPipeline) {
-      if (expired()) {
-        run.status = "deadline";
-      } else {
-        std::vector<std::uint8_t> bytes;
-        if (faulty) {
-          faults::RecoveredSeparator rec =
-              faults::compute_separator_with_recovery(g, root, opts.retry);
-          run.attempts = std::max(run.attempts, rec.recovery.attempts);
-          if (!rec.recovery.ok) {
-            throw std::runtime_error("separator recovery failed: " +
-                                     rec.recovery.failure);
-          }
-          io::SeparatorArtifact sa{rec.result->parts.at(0), rec.cost};
-          bytes = single_section(io::SectionId::kSeparator,
-                                 io::encode_separator(sa));
-        } else if (dag) {
-          bytes = *exec->request(taskgraph::kSeparatorTask);
-        } else {
-          const CacheKey key{run.fingerprint, "separator@v1", config_hash};
-          bytes = *cache.get_or_compute(key, [&] {
-            SeparatorRun sr = compute_cycle_separator(g, root);
-            io::SeparatorArtifact sa{sr.separator, sr.cost};
-            return single_section(io::SectionId::kSeparator,
-                                  io::encode_separator(sa));
-          });
-        }
-        run.sep = sep_row_from_bytes(g, bytes);
-      }
+      stage(run.sep, sep_row_from_bytes, kSeparatorArtifactId,
+            computes.separator);
     }
-
-    // --- DFS stage -------------------------------------------------------
-    if ((spec.algo == Algo::kDfs || spec.algo == Algo::kPipeline) &&
-        run.status != "deadline") {
-      if (expired()) {
-        run.status = "deadline";
-      } else {
-        std::vector<std::uint8_t> bytes;
-        if (faulty) {
-          faults::RecoveredDfs rec =
-              faults::build_dfs_tree_with_recovery(g, root, opts.retry);
-          run.attempts = std::max(run.attempts, rec.recovery.attempts);
-          if (!rec.recovery.ok) {
-            throw std::runtime_error("dfs recovery failed: " +
-                                     rec.recovery.failure);
-          }
-          io::DfsArtifact da = io::dfs_artifact_from_tree(rec.build->tree);
-          da.phases = rec.build->phases;
-          da.cost = rec.cost;
-          bytes = single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
-        } else if (dag) {
-          bytes = *exec->request(taskgraph::kDfsTask);
-        } else {
-          const CacheKey key{run.fingerprint, "dfs@v1", config_hash};
-          bytes = *cache.get_or_compute(key, [&] {
-            DfsRun dr = compute_dfs_tree(g, root);
-            io::DfsArtifact da = io::dfs_artifact_from_tree(dr.build.tree);
-            da.phases = dr.build.phases;
-            da.cost = dr.build.cost;
-            return single_section(io::SectionId::kDfsTree, io::encode_dfs(da));
-          });
-        }
-        run.dfs = dfs_row_from_bytes(g, bytes);
-      }
+    if (spec.algo == Algo::kDfs || spec.algo == Algo::kPipeline) {
+      stage(run.dfs, dfs_row_from_bytes, kDfsArtifactId, computes.dfs);
     }
-
-    // --- baseline separator stage ---------------------------------------
-    if (spec.algo == Algo::kBaselineSeparator && run.status != "deadline") {
-      if (expired()) {
-        run.status = "deadline";
-      } else {
-        std::vector<std::uint8_t> bytes;
-        if (faulty) {
-          // The level search is a pure function of the BFS wave, which is
-          // deterministic under a fault plan — no recovery driver needed.
-          io::LevelSeparatorArtifact la{baselines::bfs_level_separator(g, root)};
-          bytes = single_section(io::SectionId::kLevelSeparator,
-                                 io::encode_level_separator(la));
-        } else if (dag) {
-          bytes = *exec->request(taskgraph::kBaselineTask);
-        } else {
-          const CacheKey key{run.fingerprint,
-                             taskgraph::kLevelSeparatorArtifactId, config_hash};
-          bytes = *cache.get_or_compute(key, [&] {
-            io::LevelSeparatorArtifact la{
-                baselines::bfs_level_separator(g, root)};
-            return single_section(io::SectionId::kLevelSeparator,
-                                  io::encode_level_separator(la));
-          });
-        }
-        run.baseline = baseline_row_from_bytes(g, bytes);
-      }
+    if (spec.algo == Algo::kBaselineSeparator) {
+      stage(run.baseline, baseline_row_from_bytes, kLevelSeparatorArtifactId,
+            computes.baseline);
     }
-
-    if (exec) {
-      exec->finish_io();  // join the corpus store; rethrows its failure
-      run.tg = exec->counters();
-    }
+    inst.finish();  // join the corpus store; rethrows its failure
 
     if (run.status == "ok") {
       const bool sep_bad = run.sep && !run.sep->verified;
@@ -416,7 +373,6 @@ JobResult result_of(JobRun run) {
   res.status = run.status;
   res.error = run.error;
   res.attempts = run.attempts;
-  res.taskgraph = std::move(run.tg);
   res.row = render_row(run);
   return res;
 }
@@ -649,7 +605,6 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
 
   rep.cache = cache.counters() - before;
   for (const JobResult& r : rep.results) {
-    rep.taskgraph.merge(r.taskgraph);
     if (r.status == "ok") {
       ++rep.ok;
     } else if (r.status == "check_failed") {
@@ -672,19 +627,6 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
     reg->add("serve/cache_misses", rep.cache.misses);
     reg->add("serve/cache_served_warm", rep.cache.served_without_compute());
     reg->add("serve/cache_evictions", rep.cache.evictions);
-    reg->add("serve/cache_flight_joins", rep.cache.flight_joins);
-    // Task-graph counters, folded post-execution (the executor itself
-    // never touches obs globals). All thread-count invariant except the
-    // IO overlap, which is wall clock and lands in a histogram like the
-    // latency profile.
-    reg->add("taskgraph/tasks_run", rep.taskgraph.tasks_run);
-    reg->add("taskgraph/cache_served", rep.taskgraph.cache_served);
-    reg->add("taskgraph/io_tasks", rep.taskgraph.io_tasks);
-    for (const auto& [name, n] : rep.taskgraph.runs) {
-      reg->add("taskgraph/runs/" + name, n);
-    }
-    reg->histogram("taskgraph/overlapped_io_ms")
-        .add(rep.taskgraph.overlapped_io_ms);
     obs::HistogramData& lat = reg->histogram("serve/job_latency_ms");
     for (const long long ms : latency_ms) lat.add(ms);
     // Deterministic backlog profile: the queue depth each job observed at

@@ -42,8 +42,6 @@
 #include "faults/plan.hpp"
 #include "faults/recovery.hpp"
 #include "serve/cache.hpp"
-#include "taskgraph/graph.hpp"
-#include "taskgraph/pipeline.hpp"
 
 namespace plansep::serve {
 
@@ -53,8 +51,8 @@ enum class Algo {
   kDfs,        ///< DFS tree only (Theorem 2)
   kPipeline,   ///< separator, then DFS
   /// BFS-level baseline separator (Lipton–Tarjan levels half). Shares the
-  /// spanning-tree sub-artifact with the deterministic separator when the
-  /// task graph executes both on one fingerprint.
+  /// "spantree@v1" sub-artifact with the deterministic separator on the
+  /// same fingerprint (serve/stages.hpp).
   kBaselineSeparator,
 };
 
@@ -97,13 +95,6 @@ struct BatchOptions {
   int threads = 1;             ///< worker shards for fault-free jobs
   std::string corpus_dir;      ///< store generated instances here ("" = off)
   faults::RetryPolicy retry;   ///< recovery policy for fault-injected jobs
-  /// Execute fault-free jobs through the recorded task graph
-  /// (taskgraph::pipeline_graph()): sub-artifact caching, cross-job
-  /// spanning-tree sharing, corpus IO overlapped with compute. Rows and
-  /// artifacts are byte-identical either way; the default follows
-  /// PLANSEP_TASKGRAPH (on unless =0/off). Fault-injected jobs always
-  /// take the monolithic recovery path.
-  bool taskgraph = taskgraph::taskgraph_enabled();
 };
 
 /// Outcome of one job, in admission order.
@@ -115,10 +106,6 @@ struct JobResult {
   std::string row;    ///< the emitted JSON row (no trailing newline)
   std::string error;  ///< diagnosis when status == "error"
   int attempts = 1;   ///< pipeline attempts (> 1 only under faults)
-  /// Task-graph execution counters for this job (all zero on the
-  /// monolithic path). Never rendered into the row — the row stays
-  /// byte-identical across execution modes.
-  taskgraph::TaskGraphCounters taskgraph;
 };
 
 /// Aggregate outcome of a batch.
@@ -129,10 +116,6 @@ struct BatchReport {
   long long deadline_missed = 0;  ///< status "deadline"
   long long errors = 0;           ///< status "error"
   CacheCounters cache;            ///< cache counter delta over this batch
-  /// Merged task-graph counters across the batch's jobs. The totals
-  /// (tasks_run, cache_served, per-task runs) are thread-count invariant
-  /// by single-flight; overlapped_io_ms is wall clock.
-  taskgraph::TaskGraphCounters taskgraph;
   std::vector<JobResult> results; ///< per-job outcomes, admission order
 };
 

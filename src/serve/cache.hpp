@@ -71,7 +71,8 @@ struct CacheCounters {
   long long disk_corrupt = 0;     ///< disk payloads rejected by parsing
   long long disk_write_failed = 0;  ///< best-effort disk writes that failed
   /// The subset of `hits` that joined another caller's in-progress flight
-  /// — the cross-job sub-result shares the task graph is after.
+  /// — cross-job sub-result shares. Depends on thread scheduling, so it
+  /// stays out of the deterministic metrics snapshots.
   long long flight_joins = 0;
   /// Entries preloaded from disk by warm() (boot warm-up; not hits).
   long long warmed = 0;

@@ -51,8 +51,8 @@ class PartwiseEngine {
   /// The construction cost is recorded in setup_cost().
   PartwiseEngine(const EmbeddedGraph& g, NodeId root);
 
-  /// Adopts a precomputed global BFS tree (e.g. the task graph's
-  /// spanning-tree artifact). setup_cost() and every derived structure are
+  /// Adopts a precomputed global BFS tree (e.g. a decoded "spantree@v1"
+  /// artifact). setup_cost() and every derived structure are
   /// pure functions of `bfs`, so an engine built this way is
   /// indistinguishable from one that ran distributed_bfs itself.
   PartwiseEngine(const EmbeddedGraph& g, congest::BfsResult bfs);

@@ -151,11 +151,10 @@ std::string CaseSpec::replay() const {
 
 std::string replay_env_prefix() {
   // The env vars that change how a case executes (thread fan-out, round
-  // fusion, DAG-vs-monolithic path) without changing what it computes —
-  // a failure in any of those configurations must replay under it.
+  // fusion) without changing what it computes — a failure in any of those
+  // configurations must replay under it.
   static constexpr const char* kVars[] = {
-      "PLANSEP_THREADS", "PLANSEP_PAR_THRESHOLD", "PLANSEP_FUSION",
-      "PLANSEP_TASKGRAPH"};
+      "PLANSEP_THREADS", "PLANSEP_PAR_THRESHOLD", "PLANSEP_FUSION"};
   std::string prefix;
   for (const char* var : kVars) {
     const char* value = std::getenv(var);

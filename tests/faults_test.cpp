@@ -678,9 +678,9 @@ TEST(FaultReplay, RoundTripsThroughParseReplay) {
 }
 
 // The replay line carries the active execution env: a failure seen under
-// PLANSEP_THREADS / PLANSEP_FUSION / PLANSEP_TASKGRAPH (e.g. a task-graph
-// divergence that only shows fused and parallel) must replay under
-// exactly that configuration, not the defaults.
+// PLANSEP_THREADS / PLANSEP_FUSION (e.g. a divergence that only shows
+// fused and parallel) must replay under exactly that configuration, not
+// the defaults.
 TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
   const auto saved = [](const char* var) -> std::optional<std::string> {
     const char* v = std::getenv(var);
@@ -698,21 +698,16 @@ TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
   const auto threads = saved("PLANSEP_THREADS");
   const auto threshold = saved("PLANSEP_PAR_THRESHOLD");
   const auto fusion = saved("PLANSEP_FUSION");
-  const auto dag = saved("PLANSEP_TASKGRAPH");
 
   ::unsetenv("PLANSEP_THREADS");
   ::unsetenv("PLANSEP_PAR_THRESHOLD");
   ::unsetenv("PLANSEP_FUSION");
-  ::unsetenv("PLANSEP_TASKGRAPH");
   EXPECT_EQ(testing::replay_env_prefix(), "");
 
   ::setenv("PLANSEP_THREADS", "4", 1);
   ::setenv("PLANSEP_FUSION", "off", 1);
   EXPECT_EQ(testing::replay_env_prefix(),
             "PLANSEP_THREADS=4 PLANSEP_FUSION=off ");
-  ::setenv("PLANSEP_TASKGRAPH", "0", 1);
-  EXPECT_EQ(testing::replay_env_prefix(),
-            "PLANSEP_THREADS=4 PLANSEP_FUSION=off PLANSEP_TASKGRAPH=0 ");
 
   // The prefixed line still replays: the parser sees only the -- tokens.
   testing::CaseSpec spec;
@@ -741,7 +736,6 @@ TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
   restore("PLANSEP_THREADS", threads);
   restore("PLANSEP_PAR_THRESHOLD", threshold);
   restore("PLANSEP_FUSION", fusion);
-  restore("PLANSEP_TASKGRAPH", dag);
 }
 
 TEST(FaultReplay, FamilyNamesRoundTrip) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/level_separator.hpp"
+#include "congest/bfs_tree.hpp"
 #include "core/fingerprint.hpp"
 #include "core/plansep.hpp"
 #include "io/artifact.hpp"
@@ -271,6 +273,65 @@ TEST(ProptestIo, FingerprintMismatchIsRejectedOnLoad) {
   a.add(io::SectionId::kMeta, io::encode_meta({"grid", 1, 0xdeadbeefULL}));
   a.add(io::SectionId::kGraph, io::encode_graph(gg.graph));
   EXPECT_THROW(io::decode_graph_artifact(io::assemble(a)), io::FormatError);
+}
+
+// A caller that already fingerprinted the instance stores the same bytes
+// without a second hashing pass.
+TEST(ProptestIo, CorpusStoreWithCallerFingerprintWritesIdenticalBytes) {
+  ScratchDir hashed("store_hashed");
+  ScratchDir given("store_given");
+  const auto gg = planar::make_instance(planar::Family::kTriangulation, 40, 3);
+  const std::uint64_t fp = core::topology_fingerprint(gg.graph);
+  const std::string a = io::store_in_corpus(hashed.path(), "tri", gg.graph, 3);
+  const std::string b =
+      io::store_in_corpus(given.path(), "tri", gg.graph, 3, fp);
+  EXPECT_EQ(io::read_file(a), io::read_file(b));
+  EXPECT_EQ(io::load_graph(b).meta.fingerprint, fp);
+}
+
+// ---------------------------------------------- sub-artifact codecs ----
+
+TEST(SubArtifactCodecs, SpanningTreeCodecRoundTrips) {
+  congest::BfsResult bfs;
+  bfs.root = 2;
+  bfs.parent_dart = {4, planar::kNoDart, 7};
+  bfs.depth = {1, 2, 0};
+  bfs.height = 2;
+  bfs.rounds = 5;
+  bfs.messages = 42;
+  const auto bytes = io::encode_spanning_tree({bfs});
+  const io::SpanningTreeArtifact back = io::decode_spanning_tree(bytes);
+  EXPECT_EQ(back.bfs.root, bfs.root);
+  EXPECT_EQ(back.bfs.parent_dart, bfs.parent_dart);
+  EXPECT_EQ(back.bfs.depth, bfs.depth);
+  EXPECT_EQ(back.bfs.height, bfs.height);
+  EXPECT_EQ(back.bfs.rounds, bfs.rounds);
+  EXPECT_EQ(back.bfs.messages, bfs.messages);
+  // Structural guards: truncation and a hostile root are typed errors.
+  auto truncated = bytes;
+  truncated.resize(truncated.size() - 1);
+  EXPECT_THROW(io::decode_spanning_tree(truncated), io::FormatError);
+  congest::BfsResult hostile = bfs;
+  hostile.root = 99;
+  EXPECT_THROW(io::decode_spanning_tree(io::encode_spanning_tree({hostile})),
+               io::FormatError);
+}
+
+TEST(SubArtifactCodecs, LevelSeparatorCodecRoundTrips) {
+  baselines::LevelSeparatorResult res;
+  res.found = true;
+  res.separator = {3, 1, 4};
+  res.balance = 0.5;
+  res.levels_used = 2;
+  const auto bytes = io::encode_level_separator({res});
+  const io::LevelSeparatorArtifact back = io::decode_level_separator(bytes);
+  EXPECT_EQ(back.result.found, res.found);
+  EXPECT_EQ(back.result.separator, res.separator);
+  EXPECT_EQ(back.result.balance, res.balance);
+  EXPECT_EQ(back.result.levels_used, res.levels_used);
+  auto trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_THROW(io::decode_level_separator(trailing), io::FormatError);
 }
 
 }  // namespace

@@ -357,8 +357,8 @@ TEST(QueryServiceTest, DiskTierWarmLoadsAcrossCacheInstances) {
     const auto out = query::run_query_job(job, opts, cache, nullptr);
     ASSERT_EQ(out.status, "ok") << out.error;
     first = out.distances;
-    // Cold task-graph run: the spanning-tree sub-artifact and the index
-    // itself both miss.
+    // Cold run: the spanning-tree sub-artifact and the index itself both
+    // miss.
     EXPECT_EQ(cache.counters().misses, 2);
   }
   {

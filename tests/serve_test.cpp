@@ -1,7 +1,10 @@
 // The serving layer (src/serve/): cache LRU/eviction semantics,
-// single-flight dedup under real threads, the disk tier, and the batch
-// scheduler's determinism contract — byte-identical rows across thread
-// counts and cache temperature, deadline degradation, fault recovery.
+// single-flight dedup under real threads, the disk tier, the batch
+// scheduler's determinism contract — byte-identical rows and metrics
+// counters across thread counts and cache temperature, deadline
+// degradation, fault recovery — and the stages every job runs: one
+// acquire_instance, one spanning tree per job shared through the cache,
+// one key function.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +18,16 @@
 #include <vector>
 
 #include "core/fingerprint.hpp"
+#include "daemon/dispatcher.hpp"
+#include "daemon/metrics.hpp"
 #include "io/artifact.hpp"
 #include "io/corpus.hpp"
+#include "obs/metrics.hpp"
+#include "planar/generators.hpp"
+#include "query/service.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
+#include "serve/stages.hpp"
 #include "serve/verify.hpp"
 
 namespace plansep {
@@ -474,8 +483,8 @@ TEST(ServeBatch, FaultyJobRecoversAndStaysDeterministic) {
   EXPECT_EQ(rep1.check_failed, 0);
   EXPECT_NE(rep1.results[1].row.find("\"faults\":true"), std::string::npos);
   // Faulty jobs bypass the cache: only the fault-free job missed — its
-  // spanning-tree, separator, and DFS sub-artifacts (the task graph caches
-  // the tree the two stages share).
+  // spanning-tree, separator, and DFS sub-artifacts (one tree, shared by
+  // the two stages).
   EXPECT_EQ(rep1.cache.misses, 3);
 
   // Deterministic replay, even on a warm cache and more threads.
@@ -484,6 +493,222 @@ TEST(ServeBatch, FaultyJobRecoversAndStaysDeterministic) {
   serve::ResultCache cache2({1 << 22, ""});
   const auto rep2 = serve::run_batch(parse(), par, cache2, nullptr);
   EXPECT_EQ(joined_rows(rep1), joined_rows(rep2));
+}
+
+// The deterministic plane: two cold batches with a registry installed,
+// at threads 1 and 4, write byte-identical counters, and every key is a
+// serve/ key (the wall-clock serve/job_latency_ms histogram is the one
+// timing entry; it is not diffed). A daemon snapshot holds daemon/ keys
+// only.
+TEST(ServeBatch, MetricsCountersAreByteIdenticalAcrossThreadCounts) {
+  const auto counters_json = [](const obs::MetricsRegistry& reg) {
+    const std::string json = reg.to_json();
+    const std::size_t from = json.find("\"counters\"");
+    return json.substr(from, json.find("\"histograms\"") - from);
+  };
+  std::string reference;
+  for (const int threads : {1, 4}) {
+    obs::MetricsRegistry reg;
+    obs::MetricsRegistry* const saved = obs::set_global_registry(&reg);
+    serve::BatchOptions opts;
+    opts.threads = threads;
+    serve::ResultCache cache({1 << 22, ""});
+    serve::run_batch(demo_jobs(), opts, cache, nullptr);
+    obs::set_global_registry(saved);
+
+    EXPECT_GT(reg.counter("serve/cache_misses"), 0);
+    for (const auto& [name, value] : reg.counters()) {
+      EXPECT_EQ(name.rfind("serve/", 0), 0u) << name;
+    }
+    for (const auto& [name, h] : reg.histograms()) {
+      EXPECT_EQ(name.rfind("serve/", 0), 0u) << name;
+    }
+    const std::string counters = counters_json(reg);
+    if (reference.empty()) {
+      reference = counters;
+    } else {
+      EXPECT_EQ(reference, counters) << "threads=" << threads;
+    }
+  }
+
+  daemon::DaemonMetrics metrics;
+  serve::ShardedResultCache cache({1u << 22, 4, ""});
+  {
+    daemon::DispatcherOptions opts;
+    opts.workers = 2;
+    daemon::Dispatcher disp(opts, cache, metrics);
+    std::uint64_t id = 0;
+    for (const serve::JobSpec& spec : demo_jobs()) {
+      EXPECT_EQ(disp.submit({1, id++, daemon::Priority::kNormal, spec, {}},
+                            [](const daemon::JobDone&) {}),
+                daemon::Admission::kAdmitted);
+    }
+    disp.drain();
+  }
+  const obs::MetricsRegistry snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("daemon/completed"), 6);
+  for (const auto& [name, value] : snap.counters()) {
+    EXPECT_EQ(name.rfind("daemon/", 0), 0u) << name;
+  }
+  for (const auto& [name, h] : snap.histograms()) {
+    EXPECT_EQ(name.rfind("daemon/", 0), 0u) << name;
+  }
+}
+
+// ------------------------------------------------------------- stages --
+
+// The deterministic separator and the BFS-level baseline on one
+// fingerprint: both stages start from the same spanning tree.
+std::vector<serve::JobSpec> sharing_jobs() {
+  std::istringstream file(
+      "--family=triangulation --n=80 --seed=11 --algo=separator\n"
+      "--family=triangulation --n=80 --seed=11 --algo=baseline-separator\n");
+  return serve::parse_job_file(file);
+}
+
+// Run concurrently on a cold cache, the pair computes exactly three
+// artifacts: separator@v1, lt-level@v1 and one shared spantree@v1, whose
+// second lookup is a hit (or a join of the first one's flight).
+TEST(ServeStages, SharingPairComputesOneSpanningTree) {
+  serve::BatchOptions opts;
+  opts.threads = 2;
+  serve::ResultCache cache({1 << 22, ""});
+  const auto rep = serve::run_batch(sharing_jobs(), opts, cache, nullptr);
+  ASSERT_EQ(rep.ok, 2);
+  EXPECT_EQ(rep.cache.misses, 3);
+  EXPECT_EQ(rep.cache.hits, 1);
+  EXPECT_EQ(cache.entries(), 3u);
+  const planar::GeneratedGraph gg =
+      planar::make_instance(planar::Family::kTriangulation, 80, 11);
+  const std::uint64_t fp = core::topology_fingerprint(gg.graph);
+  for (const char* id :
+       {serve::kSpanningTreeArtifactId, serve::kSeparatorArtifactId,
+        serve::kLevelSeparatorArtifactId}) {
+    EXPECT_NE(cache.peek(serve::artifact_key(fp, id, gg.root_hint)), nullptr)
+        << id;
+  }
+  EXPECT_NE(rep.results[1].row.find("\"baseline\""), std::string::npos);
+}
+
+TEST(ServeStages, SharingPairIsByteIdenticalAcrossThreadCountsAndTemperature) {
+  std::string reference;
+  for (const int threads : {1, 4, 8}) {
+    serve::BatchOptions opts;
+    opts.threads = threads;
+    serve::ResultCache cache({1 << 22, ""});
+    const auto cold = serve::run_batch(sharing_jobs(), opts, cache, nullptr);
+    ASSERT_EQ(cold.ok, 2) << "threads=" << threads;
+    EXPECT_EQ(cold.cache.misses, 3) << "threads=" << threads;
+    const auto warm = serve::run_batch(sharing_jobs(), opts, cache, nullptr);
+    EXPECT_EQ(joined_rows(cold), joined_rows(warm));
+    EXPECT_EQ(warm.cache.misses, 0);
+    if (reference.empty()) {
+      reference = joined_rows(cold);
+    } else {
+      EXPECT_EQ(reference, joined_rows(cold)) << "threads=" << threads;
+    }
+  }
+}
+
+// One engine per job: a cold pipeline job's separator and DFS stages run
+// over one spanning tree, looked up once. A job whose separator is
+// already cached builds the engine only for its DFS.
+TEST(ServeStages, PipelineJobLooksUpOneSpanningTree) {
+  const auto job = [](const char* algo) {
+    return *serve::parse_job_line(
+        std::string("--family=grid --n=49 --seed=1 --algo=") + algo, 0);
+  };
+  serve::ResultCache cold({1 << 22, ""});
+  const auto rep = serve::run_batch({job("pipeline")}, {}, cold, nullptr);
+  ASSERT_EQ(rep.ok, 1);
+  EXPECT_EQ(rep.cache.misses, 3);  // separator, dfs, one spanning tree
+  EXPECT_EQ(rep.cache.hits, 0);
+
+  serve::ResultCache half({1 << 22, ""});
+  serve::run_batch({job("separator")}, {}, half, nullptr);
+  const auto rest = serve::run_batch({job("pipeline")}, {}, half, nullptr);
+  EXPECT_EQ(rest.cache.misses, 1);  // dfs
+  EXPECT_EQ(rest.cache.hits, 2);    // separator, spanning tree
+  EXPECT_EQ(joined_rows(rep), joined_rows(rest));
+}
+
+// A fully warm job decodes its stage artifacts and nothing else: the
+// spanning tree is never looked up, let alone computed.
+TEST(ServeStages, WarmStagesNeverLookUpTheSpanningTree) {
+  const std::vector<serve::JobSpec> jobs = {*serve::parse_job_line(
+      "--family=triangulation --n=60 --seed=2 --algo=pipeline", 0)};
+  serve::ResultCache cache({1 << 22, ""});
+  serve::run_batch(jobs, {}, cache, nullptr);
+  const auto warm = serve::run_batch(jobs, {}, cache, nullptr);
+  EXPECT_EQ(warm.cache.misses, 0);
+  EXPECT_EQ(warm.cache.hits, 2);  // separator@v1, dfs@v1
+}
+
+// Every per-instance key mixes the root, and the query index its leaf
+// size. The hash is frozen: the disk tier addresses payloads by it.
+TEST(ServeStages, ArtifactKeysSeparateRootsAndKnobs) {
+  const serve::CacheKey k = serve::artifact_key(7, "dfs@v1", 0);
+  EXPECT_EQ(k.fingerprint, 7u);
+  EXPECT_EQ(k.algorithm, "dfs@v1");
+  EXPECT_EQ(k.config_hash, 0x71bc7dd6413f1f70ULL);
+  EXPECT_EQ(serve::artifact_key(7, "dfs@v1", 0, 0), k);
+  EXPECT_NE(serve::artifact_key(7, "dfs@v1", 1).config_hash, k.config_hash);
+  EXPECT_NE(serve::artifact_key(7, "dfs@v1", 0, 64).config_hash,
+            k.config_hash);
+  EXPECT_EQ(query::index_cache_key(7, 3, 64),
+            serve::artifact_key(7, query::kIndexAlgorithmId, 3, 64));
+}
+
+// ---------------------------------------------------- acquire_instance --
+
+// A generated instance is fingerprinted once, rooted at its generator's
+// hint and stored in the background; loading the stored file yields the
+// same fingerprint at root 0 and stores nothing.
+TEST(AcquireInstance, GeneratesOrLoadsAndStoresOnlyGeneratedInstances) {
+  ScratchDir corpus("acq_corpus");
+  ScratchDir other("acq_other");
+  const serve::JobSpec gen =
+      *serve::parse_job_line("--family=wheel --n=30 --seed=6", 0);
+  serve::Instance a = serve::acquire_instance(gen, corpus.path());
+  a.finish();
+  const planar::GeneratedGraph gg =
+      planar::make_instance(planar::Family::kWheel, 30, 6);
+  EXPECT_EQ(a.fingerprint, core::topology_fingerprint(gg.graph));
+  EXPECT_EQ(a.root, gg.root_hint);
+  EXPECT_EQ(a.family, "wheel");
+  const auto stored = io::list_corpus(corpus.path());
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].fingerprint, a.fingerprint);
+
+  serve::JobSpec load = gen;
+  load.family = "grid";  // provenance only: the file's family wins
+  load.graph_path = stored[0].path;
+  serve::Instance b = serve::acquire_instance(load, other.path());
+  b.finish();
+  EXPECT_EQ(b.fingerprint, a.fingerprint);
+  EXPECT_EQ(b.root, 0);
+  EXPECT_EQ(b.family, "wheel");
+  EXPECT_TRUE(io::list_corpus(other.path()).empty());
+}
+
+// A failing background store surfaces at finish(), and in a batch as the
+// job's error row.
+TEST(AcquireInstance, CorpusStoreFailureSurfacesAtFinish) {
+  ScratchDir dir("acq_blocked");
+  const std::string not_a_dir = dir.path() + "/file";
+  std::ofstream(not_a_dir) << "x";
+  const serve::JobSpec spec =
+      *serve::parse_job_line("--family=grid --n=16 --seed=1", 0);
+  serve::Instance inst = serve::acquire_instance(spec, not_a_dir);
+  EXPECT_THROW(inst.finish(), io::FormatError);
+
+  serve::BatchOptions opts;
+  opts.corpus_dir = not_a_dir;
+  serve::ResultCache cache({1 << 22, ""});
+  const auto rep = serve::run_batch({spec}, opts, cache, nullptr);
+  EXPECT_EQ(rep.errors, 1);
+  EXPECT_NE(rep.results[0].error.find("corpus"), std::string::npos)
+      << rep.results[0].error;
 }
 
 }  // namespace
