@@ -11,7 +11,11 @@
 //   * one run_query_job answer digest, with and without a dead edge.
 //
 // The matrix covers every algo, one fault-injected job, one --graph= job
-// and one already-expired --deadline-ms=0 job. When a digest moves, the
+// and one already-expired --deadline-ms=0 job, plus three pipeline jobs of
+// 1,600-2,000 nodes (random_planar, grid, triangulation): large enough that
+// the round ledger takes both of its paths (the intra-part charge decided
+// by the linear-time bound alone, and the simulated global schedule) and
+// that random_planar deletes edges through its bridge test at scale. When a digest moves, the
 // change altered observable output — fix the change, not the constant.
 
 #include <gtest/gtest.h>
@@ -38,11 +42,11 @@ namespace fs = std::filesystem;
 
 // ------------------------------------------------------------- pinned ----
 
-constexpr std::uint32_t kRowsCrc = 0x2d098299;
-constexpr std::uint32_t kCorpusCrc = 0x8d66b8e2;
-constexpr std::size_t kCorpusFiles = 6;
+constexpr std::uint32_t kRowsCrc = 0x3fb489cd;
+constexpr std::uint32_t kCorpusCrc = 0x38f9e28b;
+constexpr std::size_t kCorpusFiles = 9;
 constexpr long long kColdHits = 2;
-constexpr long long kColdMisses = 15;
+constexpr long long kColdMisses = 24;
 constexpr std::uint32_t kAnswersCrc = 0xd8d01cd0;
 constexpr std::uint32_t kDeadAnswersCrc = 0x9518353a;
 constexpr long long kQueryColdMisses = 2;
@@ -102,7 +106,10 @@ std::vector<serve::JobSpec> golden_jobs(const std::string& graph_path) {
       "--family=grid --n=36 --seed=5 --algo=pipeline --drop=0.05 "
       "--fault-seed=9\n"
       "--graph=" + graph_path + " --algo=pipeline\n"
-      "--family=wheel --n=30 --seed=6 --algo=pipeline --deadline-ms=0\n");
+      "--family=wheel --n=30 --seed=6 --algo=pipeline --deadline-ms=0\n"
+      "--family=random_planar --n=2000 --seed=3 --algo=pipeline\n"
+      "--family=grid --n=1600 --seed=1 --algo=pipeline\n"
+      "--family=triangulation --n=2000 --seed=1 --algo=pipeline\n");
   return serve::parse_job_file(file);
 }
 
