@@ -1,7 +1,6 @@
 #include "shortcuts/partwise.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -89,38 +88,68 @@ RoundCost PartwiseEngine::blackbox_charge() const {
 long long PartwiseEngine::intra_part_rounds(const std::vector<int>& part) const {
   // Per-part BFS height over the induced subgraph; parts are disjoint so
   // they proceed fully in parallel. Aggregation = convergecast + broadcast.
+  // level[v] == -1 marks v unvisited. Each node enters the FIFO at most
+  // once over all parts, so one vector with a read cursor serves them all.
   const EmbeddedGraph& g = *g_;
   const NodeId n = g.num_nodes();
   std::vector<int> level(static_cast<std::size_t>(n), -1);
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  long long max_height = 0;
-  std::deque<NodeId> queue;
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(n));
+  std::size_t head = 0;
+  int max_height = 0;
   for (NodeId s = 0; s < n; ++s) {
-    if (part[static_cast<std::size_t>(s)] < 0 || seen[static_cast<std::size_t>(s)]) {
-      continue;
-    }
     const int p = part[static_cast<std::size_t>(s)];
-    seen[static_cast<std::size_t>(s)] = 1;
+    if (p < 0 || level[static_cast<std::size_t>(s)] != -1) continue;
     level[static_cast<std::size_t>(s)] = 0;
     queue.push_back(s);
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop_front();
-      max_height = std::max<long long>(max_height,
-                                       level[static_cast<std::size_t>(v)]);
+    while (head < queue.size()) {
+      const NodeId v = queue[head++];
+      const int lv = level[static_cast<std::size_t>(v)];
+      max_height = std::max(max_height, lv);
       for (planar::DartId d : g.rotation(v)) {
         const NodeId w = g.head(d);
         if (part[static_cast<std::size_t>(w)] != p ||
-            seen[static_cast<std::size_t>(w)]) {
+            level[static_cast<std::size_t>(w)] != -1) {
           continue;
         }
-        seen[static_cast<std::size_t>(w)] = 1;
-        level[static_cast<std::size_t>(w)] = level[static_cast<std::size_t>(v)] + 1;
+        level[static_cast<std::size_t>(w)] = lv + 1;
         queue.push_back(w);
       }
     }
   }
-  return 2 * max_height + 2;
+  return 2 * static_cast<long long>(max_height) + 2;
+}
+
+long long PartwiseEngine::global_schedule_lower_bound(
+    const std::vector<int>& part) const {
+  // With P distinct parts and d the largest BFS depth of a node in a part,
+  // global_tree_rounds(part) >= max(P + 1, d + 2) + d:
+  //   * up phase: an ancestor emits a part at least one round after its
+  //     child emitted it, so the root emits the part of a depth-d node no
+  //     earlier than round d + 1 and its done marker follows at d + 2;
+  //   * the root emits its P parts one per round, so it is also done no
+  //     earlier than P + 1;
+  //   * down phase: the result reaches depth d no earlier than d rounds
+  //     after the up phase ends;
+  //   * a budget overflow returns max/4, which is larger still.
+  // With no part at all there is no bound (the schedule is then exactly
+  // 1 round, below intra's 2), so 0 is returned.
+  int max_part = -1;
+  for (int p : part) max_part = std::max(max_part, p);
+  if (max_part < 0) return 0;
+  std::vector<char> present(static_cast<std::size_t>(max_part) + 1, 0);
+  long long parts = 0;
+  int depth = 0;
+  for (std::size_t v = 0; v < part.size(); ++v) {
+    const int p = part[v];
+    if (p < 0) continue;
+    if (!present[static_cast<std::size_t>(p)]) {
+      present[static_cast<std::size_t>(p)] = 1;
+      ++parts;
+    }
+    depth = std::max(depth, bfs_.depth[v]);
+  }
+  return std::max<long long>(parts + 1, depth + 2) + depth;
 }
 
 long long PartwiseEngine::global_tree_rounds(const std::vector<int>& part) const {
@@ -249,8 +278,13 @@ AggregateResult PartwiseEngine::aggregate(const std::vector<int>& part,
     }
   }
 
+  // The global schedule is simulated only when its linear-time lower
+  // bound leaves it a chance to beat the intra-part trees.
   const long long intra = intra_part_rounds(part);
-  const long long global = global_tree_rounds(part);
+  long long global = std::numeric_limits<long long>::max();
+  if (intra > global_schedule_lower_bound(part)) {
+    global = global_tree_rounds(part);
+  }
   out.cost.measured = std::min(intra, global);
   out.cost.charged = std::max(1, bfs_.height);
   out.cost.pa_calls = 1;

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "congest/bfs_tree.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "planar/generators.hpp"
 #include "shortcuts/partwise.hpp"
 #include "shortcuts/partwise_message.hpp"
@@ -130,6 +137,79 @@ TEST(PartwiseMessage, SinglePartIsConvergecastPlusBroadcast) {
   EXPECT_EQ(got.value[99], 100);
   // One part: roughly up (height) + down (height) rounds.
   EXPECT_LE(got.rounds, 4 * bfs.height + 10);
+}
+
+long long note_of(const obs::SpanRecord& span, const std::string& key) {
+  for (const auto& [k, v] : span.notes) {
+    if (k == key) return v;
+  }
+  return -1;
+}
+
+TEST(PartwiseMessage, GlobalScheduleLowerBoundIsSoundAndKeepsTheLedger) {
+  // aggregate() skips the global simulation when intra <= the lower
+  // bound; the bound must never exceed the exact schedule, and the
+  // measured cost must stay min(intra, exact) whichever path ran.
+  int skipped = 0;
+  int simulated = 0;
+  for (Family f : planar::all_families()) {
+    std::vector<std::pair<std::string, std::vector<int>>> cases;
+    for (int bands : {1, 4, 16}) {
+      cases.emplace_back("bands" + std::to_string(bands),
+                         make_setup(f, 200, 3, bands).part);
+    }
+    Fixture gaps = make_setup(f, 200, 3, 4);
+    const int width = std::max(1, (gaps.bfs.height + 1) / 4);
+    for (NodeId v = 0; v < gaps.gg.graph.num_nodes(); ++v) {
+      if ((gaps.bfs.depth[v] / width) % 2 == 1) gaps.part[v] = -1;
+    }
+    cases.emplace_back("gaps", gaps.part);
+    const NodeId n = gaps.gg.graph.num_nodes();
+    std::vector<int> singletons(n);
+    for (NodeId v = 0; v < n; ++v) singletons[v] = v;
+    cases.emplace_back("singletons", singletons);
+    cases.emplace_back("one_part", std::vector<int>(n, 0));
+    cases.emplace_back("absent", std::vector<int>(n, -1));
+
+    PartwiseEngine engine(gaps.gg.graph, gaps.gg.root_hint);
+    const std::vector<std::int64_t> ones(n, 1);
+    for (const auto& [name, part] : cases) {
+      const std::string where =
+          std::string(planar::family_name(f)) + " " + name;
+      const long long lb = engine.global_schedule_lower_bound(part);
+      const long long exact = engine.global_schedule_rounds(part);
+      EXPECT_LE(lb, exact) << where;
+
+      obs::MetricsRegistry reg;
+      long long measured = 0;
+      {
+        obs::ScopedMetrics scope(reg);
+        measured = engine.aggregate(part, ones, AggOp::kSum).cost.measured;
+      }
+      ASSERT_EQ(reg.spans().size(), 1u) << where;
+      const obs::SpanRecord& span = reg.spans().front();
+      ASSERT_EQ(span.name, "pa/aggregate") << where;
+      const long long intra = note_of(span, "intra");
+      ASSERT_GE(intra, 2) << where;
+      EXPECT_EQ(note_of(span, "measured"), measured) << where;
+      EXPECT_EQ(measured, std::min(intra, exact)) << where;
+      // The simulation runs exactly when intra exceeds the bound.
+      if (intra > lb) {
+        EXPECT_EQ(note_of(span, "global_tree"), exact) << where;
+        ++simulated;
+      } else {
+        EXPECT_EQ(note_of(span, "global_tree"), -1) << where;
+        ++skipped;
+      }
+      if (name == "absent") {
+        EXPECT_EQ(lb, 0) << where;
+        EXPECT_EQ(exact, 1) << where;
+        EXPECT_EQ(measured, 1) << where;
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(simulated, 0);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <numeric>
 #include <set>
 
 #include "planar/embedded_graph.hpp"
@@ -203,6 +206,79 @@ TEST(Generators, RandomPlanarHitsTargetEdgeCount) {
   EXPECT_EQ(gg.graph.num_nodes(), 40);
   EXPECT_EQ(gg.graph.num_edges(), 60);
   EXPECT_EQ(gg.graph.num_components(), 1);
+}
+
+// Reference random_planar: the same edge order, with each bridge test
+// answered by a BFS from one endpoint to the other over the alive edges.
+std::vector<std::vector<NodeId>> bfs_bridge_random_planar(int n, int m,
+                                                          Rng& rng) {
+  const GeneratedGraph tri = stacked_triangulation(n, rng);
+  const EmbeddedGraph& g = tri.graph;
+  const int max_m = g.num_edges();
+  m = std::clamp(m, n - 1, max_m);
+  std::vector<char> alive(static_cast<std::size_t>(max_m), 1);
+  std::vector<EdgeId> order(static_cast<std::size_t>(max_m));
+  std::iota(order.begin(), order.end(), 0);
+  rng.shuffle(order);
+  const auto is_bridge = [&](EdgeId e) {
+    const NodeId t = g.edge_v(e);
+    std::vector<char> seen(static_cast<std::size_t>(n), 0);
+    std::deque<NodeId> queue{g.edge_u(e)};
+    seen[static_cast<std::size_t>(g.edge_u(e))] = 1;
+    while (!queue.empty()) {
+      const NodeId v = queue.front();
+      queue.pop_front();
+      if (v == t) return false;
+      for (DartId d : g.rotation(v)) {
+        const EdgeId de = EmbeddedGraph::edge_of(d);
+        const NodeId w = g.head(d);
+        if (de == e || !alive[static_cast<std::size_t>(de)] ||
+            seen[static_cast<std::size_t>(w)]) {
+          continue;
+        }
+        seen[static_cast<std::size_t>(w)] = 1;
+        queue.push_back(w);
+      }
+    }
+    return true;
+  };
+  int remaining = max_m;
+  for (EdgeId e : order) {
+    if (remaining <= m) break;
+    if (is_bridge(e)) continue;
+    alive[static_cast<std::size_t>(e)] = 0;
+    --remaining;
+  }
+  std::vector<std::vector<NodeId>> rot(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    for (DartId d : g.rotation(v)) {
+      if (alive[static_cast<std::size_t>(EmbeddedGraph::edge_of(d))]) {
+        rot[static_cast<std::size_t>(v)].push_back(g.head(d));
+      }
+    }
+  }
+  return rot;
+}
+
+TEST(Generators, RandomPlanarMatchesBfsBridgeOracle) {
+  for (const int n : {100, 1000, 10000}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const int m = (3 * n) / 2;
+      Rng rng(seed);
+      const GeneratedGraph gg = random_planar(n, m, rng);
+      Rng ref_rng(seed);
+      const auto want = bfs_bridge_random_planar(n, m, ref_rng);
+      ASSERT_EQ(gg.graph.num_nodes(), n);
+      for (NodeId v = 0; v < n; ++v) {
+        std::vector<NodeId> got;
+        for (DartId d : gg.graph.rotation(v)) got.push_back(gg.graph.head(d));
+        ASSERT_EQ(got, want[static_cast<std::size_t>(v)])
+            << "n=" << n << " seed=" << seed << " v=" << v;
+      }
+      // Both consumed the same random stream.
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+    }
+  }
 }
 
 TEST(Generators, DeterministicForFixedSeed) {
