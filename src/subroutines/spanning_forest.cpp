@@ -2,32 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/dsu.hpp"
 
 namespace plansep::sub {
-
-namespace {
-
-struct Dsu {
-  std::vector<int> parent;
-  explicit Dsu(int n) : parent(static_cast<std::size_t>(n)) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int find(int x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      parent[static_cast<std::size_t>(x)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
-      x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(int a, int b) { parent[static_cast<std::size_t>(find(a))] = find(b); }
-};
-
-}  // namespace
 
 SpanningForest boruvka_forest(
     const EmbeddedGraph& g, const std::vector<int>& part, int num_parts,
