@@ -10,17 +10,20 @@ gates `bench_loadgen` rows with:
   bench_gate.py --kind loadgen --fields wall_ms,p99_ms \
       --current loadgen.bench.json --baseline bench/baselines/loadgen.bench.json
 
-Kinds listed in KIND_EXACT_FIELDS carry deterministic work counters (the
-DFS round ledger: `dfs_analytic` rows' rounds_measured, rounds_charged and
-phases). Those fields are gated exactly, on any host: rows are matched on
-(kind, family, n) alone, any difference fails, and a baseline row with no
-current counterpart fails. E.g.
+Kinds listed in KIND_EXACT_FIELDS carry deterministic fields: the DFS
+round ledger (`dfs_analytic` rows' rounds_measured, rounds_charged and
+phases) and the ingest sweep's input and verdict sizes (`ingest` rows'
+edges, input_bytes and witness_edges). Those fields are gated exactly, on
+any host: rows are matched on (kind, family, n) alone, any difference
+fails, and a baseline row with no current counterpart fails. E.g.
 
   bench_gate.py --kind dfs_analytic \
       --current gate.bench.json --baseline bench/baselines/dfs_rounds.bench.json
 
-Such a kind is gated on its exact fields only (--tolerance, --min-ms and
---fields do not apply).
+A kind with exact fields and no KIND_FIELDS entry (dfs_analytic) is gated
+on its exact fields only (--tolerance, --min-ms and --fields do not
+apply). A kind with both (ingest) must pass both gates: the exact one on
+any host, the wall-clock one as described below.
 
 Wall-clock matching and noise policy:
   * Rows are keyed on (kind, workload, family, n, threads, par_threshold,
@@ -61,6 +64,7 @@ KIND_FIELDS = {
 # Per-kind deterministic fields gated exactly, whatever the host shape.
 KIND_EXACT_FIELDS = {
     "dfs_analytic": ("rounds_measured", "rounds_charged", "phases"),
+    "ingest": ("edges", "input_bytes", "witness_edges"),
 }
 EXACT_KEY_FIELDS = ("kind", "family", "n")
 
@@ -156,9 +160,12 @@ def main():
               file=sys.stderr)
         return 1
 
+    exact_status = 0
     if args.kind in KIND_EXACT_FIELDS:
-        return exact_gate(current_rows, baseline_rows,
-                          KIND_EXACT_FIELDS[args.kind])
+        exact_status = exact_gate(current_rows, baseline_rows,
+                                  KIND_EXACT_FIELDS[args.kind])
+        if args.kind not in KIND_FIELDS:
+            return exact_status
 
     host_cores = {k[KEY_FIELDS.index("host_cores")] for k in current}
     base_cores = {k[KEY_FIELDS.index("host_cores")] for k in baseline}
@@ -167,7 +174,7 @@ def main():
               f"{sorted(base_cores)} but this runner has host_cores="
               f"{sorted(host_cores)}; refresh the baseline from this "
               f"runner shape to arm the gate here.")
-        return 0
+        return exact_status
 
     failures = []
     compared = 0
@@ -206,7 +213,7 @@ def main():
         return 1
     print(f"\nbench-gate: PASS — {compared} wall-clock cells within "
           f"{args.tolerance:.0%} of baseline.")
-    return 0
+    return exact_status
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@
 //   plansep_cli check     < edges.txt      planarity verdict only
 //
 // Input: one "u v" edge per line ('#' comments allowed); arbitrary
-// non-negative ids. The graph must be planar (checked by the built-in DMP
-// embedder) and connected for separator/dfs.
+// non-negative ids. The graph must be planar (checked by the built-in
+// linear-time left-right embedder) and connected for separator/dfs.
 
 #include <cstdio>
 #include <cstring>

@@ -1,8 +1,8 @@
 // plansep_ingest — the ingest front door as a CLI.
 //
 // Reads an untrusted edge list (a file argument or stdin), runs the full
-// admission pipeline (caps, overflow-safe parse, canonicalization, DMP
-// planarity with witness, optional apex triangulation) and, on accept,
+// admission pipeline (caps, overflow-safe parse, canonicalization,
+// left-right planarity with witness, optional apex triangulation) and, on accept,
 // lands the graph as a fingerprinted .psg artifact in a content-addressed
 // corpus — ready for plansep_batch --graph=, plansepd jobs and distance
 // queries. Formats, limits and the rejection taxonomy: docs/INGEST.md.

@@ -32,7 +32,7 @@ enum class IngestErrorCode : std::uint8_t {
   kNodeLimit = 6,      ///< distinct node count exceeds max_nodes
   kEdgeLimit = 7,      ///< edge count exceeds max_edges
   kEmpty = 8,          ///< no edges survive parsing
-  kNonPlanar = 9,      ///< DMP rejection; witness() has the subgraph
+  kNonPlanar = 9,      ///< planarity rejection; witness() has the subgraph
 };
 
 /// Stable lower-case name of a code ("parse", "overflow", ...). The

@@ -117,7 +117,7 @@ IngestResult ingest_text(std::istream& in, const IngestOptions& opts) {
             std::to_string(original_id.size()));
   }
 
-  // Admission proper: the hardened DMP planarity check.
+  // Admission proper: the linear-time left-right planarity check.
   const NodeId n = static_cast<NodeId>(original_id.size());
   planar::PlanarityResult check =
       planar::planar_embedding_with_witness(n, edges);

@@ -11,7 +11,7 @@
 //   canonicalize  dense renumbering by ascending original id,
 //                 edges normalized (min,max) + sorted + deduped (self-loop,
 //                 duplicate-edge, node-limit, edge-limit, empty)
-//   admit         DMP planarity with witness                   (non-planar)
+//   admit         left-right planarity with witness, O(n + m)  (non-planar)
 //   finalize      optional apex triangulation, fingerprint,
 //                 store_in_corpus
 //

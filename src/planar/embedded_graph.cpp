@@ -145,35 +145,47 @@ EmbeddedGraph EmbeddedGraph::from_rotations(
     const std::vector<std::vector<NodeId>>& rotations) {
   const NodeId n = static_cast<NodeId>(rotations.size());
   EmbeddedGraph g(n);
+  // seen_by[v] == u: v already occurred in rotations[u]. With dart_to[v]
+  // (the dart u→v) it replaces per-entry scans of a rotation, keeping the
+  // build O(n + m) at high-degree vertices.
+  std::vector<NodeId> seen_by(static_cast<std::size_t>(n), kNoNode);
+  std::vector<DartId> dart_to(static_cast<std::size_t>(n), kNoDart);
   // First pass: create edges (u < v order of discovery), tracking darts.
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v : rotations[static_cast<std::size_t>(u)]) {
       PLANSEP_CHECK_MSG(v >= 0 && v < n, "rotation references invalid node");
       PLANSEP_CHECK_MSG(u != v, "self-loops are not supported");
       if (u < v) {
-        PLANSEP_CHECK_MSG(!g.has_edge(u, v), "duplicate edge in rotations");
+        PLANSEP_CHECK_MSG(seen_by[static_cast<std::size_t>(v)] != u,
+                          "duplicate edge in rotations");
+        seen_by[static_cast<std::size_t>(v)] = u;
         g.add_edge_back(u, v);
       }
     }
   }
   // Second pass: order rotations as specified.
+  std::fill(seen_by.begin(), seen_by.end(), kNoNode);
   for (NodeId u = 0; u < n; ++u) {
     const auto& want = rotations[static_cast<std::size_t>(u)];
     PLANSEP_CHECK_MSG(static_cast<int>(want.size()) == g.degree(u),
                       "asymmetric rotation input");
+    for (DartId d : g.rot_[u]) {
+      seen_by[static_cast<std::size_t>(g.head(d))] = u;
+      dart_to[static_cast<std::size_t>(g.head(d))] = d;
+    }
     std::vector<DartId> ordered;
     ordered.reserve(want.size());
     for (NodeId v : want) {
-      const DartId d = g.find_dart(u, v);
-      PLANSEP_CHECK_MSG(d != kNoDart, "asymmetric rotation input");
-      ordered.push_back(d);
+      PLANSEP_CHECK_MSG(seen_by[static_cast<std::size_t>(v)] == u,
+                        "asymmetric rotation input");
+      ordered.push_back(dart_to[static_cast<std::size_t>(v)]);
     }
     // Check no duplicates (parallel edges unsupported).
-    auto sorted = ordered;
-    std::sort(sorted.begin(), sorted.end());
-    PLANSEP_CHECK_MSG(
-        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-        "parallel edges are not supported");
+    for (NodeId v : want) {
+      PLANSEP_CHECK_MSG(dart_to[static_cast<std::size_t>(v)] != kNoDart,
+                        "parallel edges are not supported");
+      dart_to[static_cast<std::size_t>(v)] = kNoDart;
+    }
     g.rot_[u] = std::move(ordered);
     for (int i = 0; i < g.degree(u); ++i) g.pos_[g.rot_[u][i]] = i;
   }

@@ -51,7 +51,7 @@ class EmbeddedGraph {
 
   /// Builds from explicit clockwise rotations: rotations[v] lists the
   /// neighbors of v in clockwise order. The implied edge set must be
-  /// symmetric.
+  /// symmetric. O(n + m).
   static EmbeddedGraph from_rotations(
       const std::vector<std::vector<NodeId>>& rotations);
 

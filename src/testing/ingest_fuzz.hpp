@@ -11,7 +11,7 @@
 // CRLF/whitespace mixes, truncations, cap violations, duplicate/self-
 // loop storms, valid planar graphs, and adversarial *near-planar*
 // graphs (a planar base with a K5 / K3,3 glued on), which is the case
-// class that stresses the DMP witness path.
+// class that stresses the planarity witness path.
 
 #include <cstdint>
 #include <string>

@@ -1,8 +1,10 @@
-// Tests for the DMP planarity test + embedder: planar inputs (all
-// generator families, stripped to edge lists) must embed with genus 0 and
-// the exact same edge set; non-planar inputs (K5, K3,3, and random
-// supergraphs thereof) must be rejected; the library pipeline (separator,
-// DFS) must work end-to-end on DMP-produced embeddings.
+// Tests for the public planarity test + embedder (planar/dmp_embedder.hpp,
+// the left-right embedder; planarity_test.cpp cross-checks it against the
+// DMP oracle): planar inputs (all generator families, stripped to edge
+// lists) must embed with genus 0 and the exact same edge set; non-planar
+// inputs (K5, K3,3, and random supergraphs thereof) must be rejected; the
+// library pipeline (separator, DFS) must work end-to-end on the produced
+// embeddings.
 
 #include <gtest/gtest.h>
 
@@ -121,7 +123,7 @@ TEST(Dmp, DisconnectedAndTreeInputs) {
 }
 
 TEST(Dmp, PipelineRunsOnDmpEmbeddings) {
-  // Strip a generated graph to its edge list, re-embed with DMP (the
+  // Strip a generated graph to its edge list, re-embed it (the
   // rotation system will generally differ), and run the full pipeline.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const GeneratedGraph gg =

@@ -2,19 +2,25 @@
 // edge cases, the full rejection taxonomy with its exact error strings,
 // canonicalization invariance, triangulation, and corpus round-trips —
 // an accepted external edge list must be indistinguishable from a
-// generated instance to every downstream tier.
+// generated instance to every downstream tier — plus admission at
+// hostile scale under a wall budget linear in the edge count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 
 #include "core/fingerprint.hpp"
 #include "ingest/pipeline.hpp"
 #include "io/corpus.hpp"
 #include "planar/dmp_embedder.hpp"
+#include "planar/generators.hpp"
 #include "planar/planarity.hpp"
+#include "util/rng.hpp"
 
 namespace plansep {
 namespace {
@@ -291,6 +297,145 @@ TEST(IngestCorpus, DisconnectedInputsAreAccepted) {
   const auto res = run("1 2\n2 3\n10 11\n11 12\n12 10\n");
   EXPECT_EQ(res.graph.num_nodes(), 6);
   EXPECT_EQ(res.graph.num_edges(), 5);
+}
+
+// ------------------------------------------------------ hostile scale ----
+
+/// An external-looking edge list: sparse 64-bit ids, random orientation,
+/// shuffled lines, CRLF on every other line. The `gadget` edges (over
+/// gadget-local ids 0, 1, ...) are spliced in on fresh ids as a separate
+/// component; their original-id edges, normalised and sorted, land in
+/// `spliced`.
+struct ExternalText {
+  std::string text;
+  std::vector<ingest::IngestError::Edge> spliced;
+  std::size_t edges = 0;
+};
+
+ExternalText external_text(const planar::EmbeddedGraph& g,
+                           const std::vector<std::pair<int, int>>& gadget,
+                           std::uint64_t seed) {
+  Rng rng(seed);
+  int gadget_nodes = 0;
+  for (const auto& [a, b] : gadget) {
+    gadget_nodes = std::max({gadget_nodes, a + 1, b + 1});
+  }
+  std::unordered_set<long long> used;
+  std::vector<long long> ids;
+  while (ids.size() < static_cast<std::size_t>(g.num_nodes() + gadget_nodes)) {
+    const long long id = static_cast<long long>(1 + (rng.next_u64() >> 2));
+    if (used.insert(id).second) ids.push_back(id);
+  }
+  std::vector<std::pair<long long, long long>> lines;
+  for (planar::EdgeId e = 0; e < g.num_edges(); ++e) {
+    lines.emplace_back(ids[static_cast<std::size_t>(g.edge_u(e))],
+                       ids[static_cast<std::size_t>(g.edge_v(e))]);
+  }
+  ExternalText out;
+  for (const auto& [a, b] : gadget) {
+    const long long u = ids[static_cast<std::size_t>(g.num_nodes() + a)];
+    const long long v = ids[static_cast<std::size_t>(g.num_nodes() + b)];
+    lines.emplace_back(u, v);
+    out.spliced.emplace_back(std::min(u, v), std::max(u, v));
+  }
+  std::sort(out.spliced.begin(), out.spliced.end());
+  for (auto& line : lines) {
+    if (rng.next_bool()) std::swap(line.first, line.second);
+  }
+  rng.shuffle(lines.data(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    out.text += std::to_string(lines[i].first) + " " +
+                std::to_string(lines[i].second) + (i % 2 ? "\n" : "\r\n");
+  }
+  out.edges = lines.size();
+  return out;
+}
+
+std::vector<std::pair<int, int>> k5_gadget() {
+  std::vector<std::pair<int, int>> e;
+  for (int a = 0; a < 5; ++a) {
+    for (int b = a + 1; b < 5; ++b) e.emplace_back(a, b);
+  }
+  return e;
+}
+
+/// K3,3 with every edge subdivided once: 15 nodes, 18 edges.
+std::vector<std::pair<int, int>> subdivided_k33_gadget() {
+  std::vector<std::pair<int, int>> e;
+  int mid = 6;
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 3; b < 6; ++b) {
+      e.emplace_back(a, mid);
+      e.emplace_back(mid, b);
+      ++mid;
+    }
+  }
+  return e;
+}
+
+/// Admission wall budget, linear in the edge count: generous enough for
+/// sanitizer builds on a loaded machine; a quadratic embedder misses it by
+/// orders of magnitude at these sizes.
+double budget_seconds(std::size_t edges) {
+  return 20e-6 * static_cast<double>(edges) + 2.0;
+}
+
+template <class F>
+double seconds(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(IngestHostileScale, LargePlanarTextsAdmitAndSplicedVariantsRejectInLinearTime) {
+  const planar::Family families[] = {planar::Family::kTriangulation,
+                                     planar::Family::kGrid,
+                                     planar::Family::kRandomPlanar};
+  for (const planar::Family f : families) {
+    const planar::GeneratedGraph gg = planar::make_instance(f, 100000, 1);
+    const std::string name = planar::family_name(f);
+    const ExternalText plain = external_text(gg.graph, {}, 11);
+    ingest::IngestResult res;
+    const double accept_s = seconds([&] { res = run(plain.text); });
+    EXPECT_EQ(res.graph.num_edges(), static_cast<int>(plain.edges)) << name;
+    EXPECT_TRUE(planar::validate_embedding(res.graph)) << name;
+    EXPECT_LE(accept_s, budget_seconds(plain.edges)) << name << " accept";
+
+    for (const auto& gadget : {k5_gadget(), subdivided_k33_gadget()}) {
+      const ExternalText spliced = external_text(gg.graph, gadget, 12);
+      ingest::IngestError err{ingest::IngestErrorCode::kParse, 0, ""};
+      const double reject_s = seconds([&] { err = reject(spliced.text); });
+      EXPECT_EQ(err.code(), ingest::IngestErrorCode::kNonPlanar) << name;
+      EXPECT_EQ(err.witness(), spliced.spliced)
+          << name << ": the witness is exactly the spliced block ("
+          << gadget.size() << " edges), in original ids";
+      EXPECT_LE(reject_s, budget_seconds(spliced.edges)) << name << " reject";
+    }
+  }
+}
+
+TEST(IngestHostileScale, DeepPathCycleAndWheelAdmitWithoutRecursion) {
+  // A 2^18-node path drives every DFS to depth 2^18, which a recursive
+  // DFS would overflow the stack on; the wheel's hub has degree 2^18 - 1.
+  // Only the edge lists matter here, so the graphs are built unembedded.
+  constexpr int kN = 1 << 18;
+  planar::EmbeddedGraph path(kN);
+  for (int v = 0; v + 1 < kN; ++v) path.add_edge_back(v, v + 1);
+  planar::EmbeddedGraph cycle = path;
+  cycle.add_edge_back(kN - 1, 0);
+  planar::EmbeddedGraph wheel(kN);
+  for (int v = 1; v < kN; ++v) {
+    wheel.add_edge_back(0, v);
+    wheel.add_edge_back(v, v + 1 < kN ? v + 1 : 1);
+  }
+  for (const planar::EmbeddedGraph& g : {path, cycle, wheel}) {
+    const ExternalText t = external_text(g, {}, 13);
+    ingest::IngestResult res;
+    const double s = seconds([&] { res = run(t.text); });
+    EXPECT_EQ(res.graph.num_edges(), static_cast<int>(t.edges));
+    EXPECT_LE(s, budget_seconds(t.edges)) << t.edges << " edges";
+  }
 }
 
 }  // namespace
