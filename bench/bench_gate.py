@@ -1,29 +1,31 @@
 #!/usr/bin/env python3
 """Perf-regression gate over bench JSON rows.
 
-Compares rows of a chosen kind (--kind, default `parallel_engine`) from a
+Compares rows of a chosen kind (--kind, default `round_engine`) from a
 fresh bench run against the committed baseline and fails when any matched
-row's gated fields (--fields, default the parallel-engine wall clocks)
-regressed by more than the tolerance (default 20%). E.g. the serving tier
-gates `bench_loadgen` rows with:
+row's gated fields (--fields, default the kind's KIND_FIELDS entry, else
+wall_ms) regressed by more than the tolerance (default 20%). E.g. the
+serving tier gates `bench_loadgen` rows with:
 
   bench_gate.py --kind loadgen --fields wall_ms,p99_ms \
       --current loadgen.bench.json --baseline bench/baselines/loadgen.bench.json
 
 Kinds listed in KIND_EXACT_FIELDS carry deterministic fields: the DFS
 round ledger (`dfs_analytic` rows' rounds_measured, rounds_charged and
-phases) and the ingest sweep's input and verdict sizes (`ingest` rows'
+phases), the round engine's counts (`round_engine` rows' rounds and
+messages) and the ingest sweep's input and verdict sizes (`ingest` rows'
 edges, input_bytes and witness_edges). Those fields are gated exactly, on
-any host: rows are matched on (kind, family, n) alone, any difference
-fails, and a baseline row with no current counterpart fails. E.g.
+any host: rows are matched on (kind, workload, family, n) alone — kinds
+without a workload field key on None there — any difference fails, and a
+baseline row with no current counterpart fails. E.g.
 
   bench_gate.py --kind dfs_analytic \
       --current gate.bench.json --baseline bench/baselines/dfs_rounds.bench.json
 
 A kind with exact fields and no KIND_FIELDS entry (dfs_analytic) is gated
 on its exact fields only (--tolerance, --min-ms and --fields do not
-apply). A kind with both (ingest) must pass both gates: the exact one on
-any host, the wall-clock one as described below.
+apply). A kind with both (round_engine, ingest) must pass both gates: the
+exact one on any host, the wall-clock one as described below.
 
 Wall-clock matching and noise policy:
   * Rows are keyed on (kind, workload, family, n, threads, par_threshold,
@@ -52,11 +54,11 @@ import sys
 
 KEY_FIELDS = ("kind", "workload", "family", "n", "threads", "par_threshold",
               "host_cores")
-# Default wall-clock fields gated per row, with the headline one first.
-WALL_FIELDS = ("wall_ms_parallel", "wall_ms_serial")
+# Wall-clock fields gated per row when a kind has no KIND_FIELDS entry.
+WALL_FIELDS = ("wall_ms",)
 # Per-kind field defaults, so the common gates need no --fields flag.
 KIND_FIELDS = {
-    "parallel_engine": WALL_FIELDS,
+    "round_engine": ("wall_ms",),
     "loadgen": ("wall_ms",),
     "query": ("warm_wall_ms", "cold_job_ms"),
     "ingest": ("wall_ms", "reject_wall_ms"),
@@ -64,9 +66,10 @@ KIND_FIELDS = {
 # Per-kind deterministic fields gated exactly, whatever the host shape.
 KIND_EXACT_FIELDS = {
     "dfs_analytic": ("rounds_measured", "rounds_charged", "phases"),
+    "round_engine": ("rounds", "messages"),
     "ingest": ("edges", "input_bytes", "witness_edges"),
 }
-EXACT_KEY_FIELDS = ("kind", "family", "n")
+EXACT_KEY_FIELDS = ("kind", "workload", "family", "n")
 
 
 def load_rows(path, kind):
@@ -135,8 +138,8 @@ def main():
     ap.add_argument("--min-ms", type=float, default=5.0,
                     help="ignore rows whose baseline wall clock is below "
                          "this (noise floor, default 5 ms)")
-    ap.add_argument("--kind", default="parallel_engine",
-                    help="row kind to gate (default parallel_engine)")
+    ap.add_argument("--kind", default="round_engine",
+                    help="row kind to gate (default round_engine)")
     ap.add_argument("--fields", default=None,
                     help="comma-separated wall-clock fields to gate per row "
                          "(default: the kind's entry in KIND_FIELDS, else "

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
-#include "congest/thread_pool.hpp"
 #include "obs/sink.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -15,34 +13,6 @@ namespace {
 
 std::atomic<TraceSink*> g_trace_sink{nullptr};
 std::atomic<FaultInjector*> g_fault_injector{nullptr};
-
-// Below this many staged messages the bucket-parallel scatter costs more
-// in pool wake-up than it saves; deliver serially instead (identical
-// results either way — the scatter order per recipient is the same).
-constexpr std::uint32_t kParallelScatterThreshold = 2048;
-
-ThreadConfig read_env_config() {
-  ThreadConfig cfg;
-  if (const char* e = std::getenv("PLANSEP_THREADS")) {
-    const int v = std::atoi(e);
-    if (v >= 1) cfg.threads = std::min(v, 256);
-  }
-  if (const char* e = std::getenv("PLANSEP_PAR_THRESHOLD")) {
-    const int v = std::atoi(e);
-    if (v >= 0) cfg.min_active_to_parallelize = v;
-  }
-  if (const char* e = std::getenv("PLANSEP_FUSION")) {
-    cfg.fuse_rounds = std::atoi(e) != 0;
-  }
-  return cfg;
-}
-
-// The process default; reads the environment once. Mutated only via
-// set_default_thread_config (tests, benches) — from one thread at a time.
-ThreadConfig& default_config_storage() {
-  static ThreadConfig cfg = read_env_config();
-  return cfg;
-}
 
 }  // namespace
 
@@ -62,42 +32,19 @@ FaultInjector* global_fault_injector() {
   return g_fault_injector.load(std::memory_order_acquire);
 }
 
-ThreadConfig set_default_thread_config(const ThreadConfig& cfg) {
-  PLANSEP_CHECK(cfg.threads >= 1 && cfg.min_active_to_parallelize >= 0);
-  ThreadConfig prev = default_config_storage();
-  default_config_storage() = cfg;
-  return prev;
-}
-
-ThreadConfig default_thread_config() { return default_config_storage(); }
-
 void Ctx::send(NodeId neighbor, const Message& msg) {
-  if (buf_) {
-    net_->do_send_staged(*buf_, self_, neighbor, msg, round_);
-  } else {
-    net_->do_send(self_, neighbor, msg, round_);
-  }
+  net_->do_send(self_, neighbor, msg, round_);
 }
 
 void Ctx::wake_next_round() {
-  if (buf_) {
-    // Deferred: applied on the coordinating thread at merge time. A turn
-    // may call this repeatedly; consecutive-duplicate suppression keeps the
-    // buffer small (cross-node dedup happens against woken_ at merge).
-    if (buf_->wakes.empty() || buf_->wakes.back() != self_) {
-      buf_->wakes.push_back(self_);
-    }
-    return;
-  }
   if (!net_->woken_[static_cast<std::size_t>(self_)]) {
     net_->woken_[static_cast<std::size_t>(self_)] = 1;
     net_->active_next_.push_back(self_);
   }
 }
 
-Network::Network(const EmbeddedGraph& g) : g_(&g), cfg_(default_thread_config()) {
+Network::Network(const EmbeddedGraph& g) : g_(&g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  num_nodes_ = std::max<long long>(1, g.num_nodes());
   inbox_off_.assign(n, 0);
   inbox_len_.assign(n, 0);
   cursor_.assign(n, 0);
@@ -106,48 +53,18 @@ Network::Network(const EmbeddedGraph& g) : g_(&g), cfg_(default_thread_config())
   crash_pending_flag_.assign(n, 0);
 }
 
-void Network::set_threads(int k) {
-  PLANSEP_CHECK_MSG(k >= 1, "set_threads requires k >= 1");
-  cfg_.threads = std::min(k, 256);
-}
-
-void Network::set_min_active_to_parallelize(int min_active) {
-  PLANSEP_CHECK(min_active >= 0);
-  cfg_.min_active_to_parallelize = min_active;
-}
-
-// Bandwidth guard shared by the serial and parallel send paths (one
-// throw site, so both engines fault with the identical message). The guard
-// slot is keyed by the directed dart from→to, and `from` is owned by
-// exactly one shard per round, so the write is race-free under threads.
-DartId Network::checked_dart(NodeId from, NodeId to, int round) {
+void Network::do_send(NodeId from, NodeId to, const Message& msg, int round) {
+  // Bandwidth guard, keyed by the directed dart from→to.
   const DartId d = g_->find_dart(from, to);
   PLANSEP_CHECK_MSG(d != planar::kNoDart, "message sent to a non-neighbor");
   PLANSEP_CHECK_MSG(sent_round_[static_cast<std::size_t>(d)] != round,
                     "CONGEST bandwidth exceeded: two messages on one edge");
   sent_round_[static_cast<std::size_t>(d)] = round;
-  return d;
-}
-
-void Network::do_send(NodeId from, NodeId to, const Message& msg, int round) {
-  checked_dart(from, to, round);
   ++messages_sent_;
   if (active_sink_) active_sink_->on_send(round, from, to, msg);
   // Staged for delivery after every node has taken its turn this round —
   // synchronous semantics: messages sent in round r are readable in r+1.
   staged_.push_back({to, Incoming{from, msg}});
-}
-
-void Network::do_send_staged(detail::ShardBuf& buf, NodeId from, NodeId to,
-                             const Message& msg, int round) {
-  // Sink notification and the messages_sent_ counter are deferred to the
-  // deterministic merge on the coordinating thread. The destination-bucket
-  // index is recorded in the same pass so delivery can scatter
-  // bucket-parallel without sorting.
-  checked_dart(from, to, round);
-  buf.by_bucket[static_cast<std::size_t>(bucket_of(to))].push_back(
-      static_cast<std::uint32_t>(buf.sends.size()));
-  buf.sends.push_back({to, Incoming{from, msg}});
 }
 
 // Delivery pass 1: one accepted message for `to`. The first message a node
@@ -195,137 +112,26 @@ long long Network::deliver_serial() {
   return static_cast<long long>(total);
 }
 
-// Executes one round's turns sharded over the pool and merges the staged
-// effects' side channels in serial execution order: sink notifications and
-// the message counter are replayed, the earliest turn's exception is
-// rethrown (later shards' staged effects are discarded — serial would
-// never have reached them), and wake-ups are applied before deliveries,
-// mirroring the serial push order. On return the accepted sends sit in
-// shard_bufs_[0..shards) in serial order, ready for delivery.
-void Network::parallel_turns(NodeProgram& prog, int round,
-                             const std::vector<NodeId>& active, int shards) {
-  if (static_cast<int>(shard_bufs_.size()) < shards) {
-    shard_bufs_.resize(static_cast<std::size_t>(shards));
-  }
-  buckets_ = shards;
-  for (int s = 0; s < shards; ++s) {
-    shard_bufs_[static_cast<std::size_t>(s)].reset(shards);
-  }
-  const std::size_t n_active = active.size();
-  ThreadPool::instance().run_shards(shards, [&](int s) {
-    // Contiguous slices of `active` preserve the serial execution order;
-    // concatenating shard buffers 0..k-1 reproduces it exactly.
-    const std::size_t lo = n_active * static_cast<std::size_t>(s) /
-                           static_cast<std::size_t>(shards);
-    const std::size_t hi = n_active * (static_cast<std::size_t>(s) + 1) /
-                           static_cast<std::size_t>(shards);
-    detail::ShardBuf& buf = shard_bufs_[static_cast<std::size_t>(s)];
-    Ctx ctx;
-    ctx.net_ = this;
-    ctx.buf_ = &buf;
-    ctx.round_ = round;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId v = active[i];
-      ctx.self_ = v;
-      try {
-        // take_inbox clears v's slab length — race-free: v is owned by
-        // exactly one shard, and the slab itself is read-only this round.
-        prog.round(v, take_inbox(v), ctx);
-      } catch (...) {
-        buf.error = std::current_exception();
-        buf.error_turn = i;
-        break;  // the serial engine would abort the run at this turn
-      }
-    }
-  });
-
-  // Shards own increasing turn ranges, so the first shard with an error
-  // holds the earliest turn the serial engine would have faulted at.
-  int stop = shards;
-  for (int s = 0; s < shards; ++s) {
-    if (shard_bufs_[static_cast<std::size_t>(s)].error) {
-      stop = s;
-      break;
-    }
-  }
-  // Replay sink notifications in merged (= serial) order. On error, replay
-  // up to and including the faulting shard's accepted sends — exactly the
-  // prefix the serial engine would have emitted — then rethrow. With no
-  // sink installed only the counter matters, and whole arenas fold in O(1).
-  const int replay_shards = stop < shards ? stop + 1 : shards;
-  for (int s = 0; s < replay_shards; ++s) {
-    const auto& sends = shard_bufs_[static_cast<std::size_t>(s)].sends;
-    messages_sent_ += static_cast<long long>(sends.size());
-    if (active_sink_) {
-      for (const auto& [to, inc] : sends) {
-        active_sink_->on_send(round, inc.from, to, inc.msg);
-      }
-    }
-  }
-  if (stop < shards) {
-    std::rethrow_exception(shard_bufs_[static_cast<std::size_t>(stop)].error);
-  }
-  // Wake-ups activate before deliveries, mirroring the serial push order
-  // (wakes happen during turns, deliveries after all turns).
-  for (int s = 0; s < shards; ++s) {
-    for (const NodeId v : shard_bufs_[static_cast<std::size_t>(s)].wakes) {
-      if (!woken_[static_cast<std::size_t>(v)]) {
-        woken_[static_cast<std::size_t>(v)] = 1;
-        active_next_.push_back(v);
-      }
-    }
+// One round's turns in `nodes` order, staging accepted sends into staged_
+// in that (= acceptance) order. An exception from a turn aborts the run at
+// that turn: later nodes never run, and the next run() starts clean.
+void Network::run_turns(NodeProgram& prog, int round,
+                        const std::vector<NodeId>& nodes) {
+  staged_.clear();
+  Ctx ctx;
+  ctx.net_ = this;
+  ctx.round_ = round;
+  for (const NodeId v : nodes) {
+    ctx.self_ = v;
+    prog.round(v, take_inbox(v), ctx);
   }
 }
 
-long long Network::run_round_parallel(NodeProgram& prog, int round,
-                                      const std::vector<NodeId>& active,
-                                      int shards) {
-  parallel_turns(prog, round, active, shards);
-  // Pass 1 (coordinator): counts and activations in serial staging order —
-  // shard 0..k-1, arena order within each shard — so first-arrival
-  // activation order matches the serial engine exactly.
-  recipients_.clear();
-  long long delivered = 0;
-  for (int s = 0; s < shards; ++s) {
-    const auto& sends = shard_bufs_[static_cast<std::size_t>(s)].sends;
-    for (const auto& [to, inc] : sends) {
-      count_delivery(to);
-      (void)inc;
-    }
-    delivered += static_cast<long long>(sends.size());
-  }
-  const std::uint32_t total = finish_offsets();
-  // Pass 2: scatter. Destination buckets partition the nodes, so bucket b's
-  // writes touch disjoint cursors and slab slices — each worker walks the
-  // shards in ascending order and its bucket's arena indices in turn order,
-  // reproducing the serial per-node inbox order exactly.
-  if (shards > 1 && total >= kParallelScatterThreshold) {
-    ThreadPool::instance().run_shards(shards, [&](int b) {
-      for (int s = 0; s < shards; ++s) {
-        const detail::ShardBuf& buf = shard_bufs_[static_cast<std::size_t>(s)];
-        for (const std::uint32_t idx : buf.by_bucket[static_cast<std::size_t>(b)]) {
-          const auto& [to, inc] = buf.sends[idx];
-          inbox_next_[cursor_[static_cast<std::size_t>(to)]++] = inc;
-        }
-      }
-    });
-  } else {
-    for (int s = 0; s < shards; ++s) {
-      for (const auto& [to, inc] : shard_bufs_[static_cast<std::size_t>(s)].sends) {
-        inbox_next_[cursor_[static_cast<std::size_t>(to)]++] = inc;
-      }
-    }
-  }
-  inbox_data_.swap(inbox_next_);
-  return delivered;
-}
-
-// One round under an active FaultInjector. Crash decisions are taken on
-// the coordinating thread before turns (so serial and sharded execution
-// filter the identical node list); delivery fates and reorders are applied
-// after all turns, in serial staging order — the same merge discipline the
-// parallel engine already guarantees, which keeps k-thread runs
-// bit-identical to serial even under an active plan.
+// One round under an active FaultInjector. Crash decisions are taken
+// before the turns, over the active list in order and then over the parked
+// nodes in parking order; delivery fates and reorders are applied after all
+// turns, in staging order. Every injector query is therefore issued in one
+// fixed serial order, and a run replays bit for bit.
 long long Network::run_round_faulted(NodeProgram& prog, int round,
                                      const std::vector<NodeId>& active) {
   FaultInjector& fi = *active_fault_;
@@ -361,26 +167,7 @@ long long Network::run_round_faulted(NodeProgram& prog, int round,
     crash_pending_.resize(keep);
   }
 
-  // Turns, staging accepted sends into staged_ in serial execution order.
-  staged_.clear();
-  const int shards =
-      std::min<int>(cfg_.threads, static_cast<int>(faulted_active_.size()));
-  if (shards > 1 && static_cast<int>(faulted_active_.size()) >=
-                        cfg_.min_active_to_parallelize) {
-    parallel_turns(prog, round, faulted_active_, shards);
-    for (int s = 0; s < shards; ++s) {
-      const auto& sends = shard_bufs_[static_cast<std::size_t>(s)].sends;
-      staged_.insert(staged_.end(), sends.begin(), sends.end());
-    }
-  } else {
-    Ctx ctx;
-    ctx.net_ = this;
-    ctx.round_ = round;
-    for (const NodeId v : faulted_active_) {
-      ctx.self_ = v;
-      prog.round(v, take_inbox(v), ctx);
-    }
-  }
+  run_turns(prog, round, faulted_active_);
   return deliver_faulted(round);
 }
 
@@ -438,35 +225,6 @@ long long Network::deliver_faulted(int round) {
   return static_cast<long long>(total);
 }
 
-// Round-fusion fast path over a fault gap: every remaining event is a
-// parked crashed node, so each unfused round would only re-query crashed()
-// per parked node, deliver nothing, and tick the sinks. Look ahead with the
-// injector's pure next_alive_round hint, then advance to the earliest
-// restart in one step — replaying the exact per-round query sequence
-// (every parked node, in crash_pending_ order) so injector accounting and
-// sink round accounting stay byte-identical to the unfused engine.
-// Returns the round to resume normal execution at (== round: no fusion).
-int Network::fuse_fault_gap(int round, int max_rounds) {
-  FaultInjector& fi = *active_fault_;
-  int horizon = max_rounds;
-  for (const NodeId v : crash_pending_) {
-    horizon = std::min(horizon, fi.next_alive_round(round, v));
-    // Default hint (or an imminent restart): nothing to fuse.
-    if (horizon <= round) return round;
-  }
-  for (int r = round; r < horizon; ++r) {
-    for (const NodeId v : crash_pending_) {
-      const bool still_crashed = fi.crashed(r, v);
-      PLANSEP_CHECK_MSG(still_crashed,
-                        "FaultInjector::next_alive_round overshot the "
-                        "restart round");
-    }
-    ++fused_rounds_;
-    if (active_sink_) active_sink_->on_round_end(r, 0, 0);
-  }
-  return horizon;
-}
-
 int Network::run(NodeProgram& prog, int max_rounds) {
   std::fill(inbox_len_.begin(), inbox_len_.end(), 0);
   std::fill(woken_.begin(), woken_.end(), 0);
@@ -475,7 +233,6 @@ int Network::run(NodeProgram& prog, int max_rounds) {
   staged_.clear();
   recipients_.clear();
   messages_sent_ = 0;
-  fused_rounds_ = 0;
   // Consider the PLANSEP_METRICS env bootstrap (obs/) before resolving the
   // global sink, so env-enabled metrics observe every run in the process
   // even when no other obs entry point was reached first. One static-guard
@@ -498,9 +255,6 @@ int Network::run(NodeProgram& prog, int max_rounds) {
   std::sort(active.begin(), active.end());
   active.erase(std::unique(active.begin(), active.end()), active.end());
 
-  Ctx ctx;
-  ctx.net_ = this;
-
   int round = 0;
   // Under faults the run must also outlast in-flight stalled messages and
   // parked crashed nodes, which keep the network non-quiescent even with
@@ -508,30 +262,12 @@ int Network::run(NodeProgram& prog, int max_rounds) {
   while ((!active.empty() ||
           (active_fault_ && (!deferred_.empty() || !crash_pending_.empty()))) &&
          round < max_rounds) {
-    if (active.empty() && active_fault_ && cfg_.fuse_rounds &&
-        deferred_.empty() && !crash_pending_.empty()) {
-      const int fused_to = fuse_fault_gap(round, max_rounds);
-      if (fused_to > round) {
-        round = fused_to;
-        continue;
-      }
-    }
     active_next_.clear();
     long long delivered = 0;
     if (active_fault_) {
       delivered = run_round_faulted(prog, round, active);
-    } else if (const int shards = std::min<int>(
-                   cfg_.threads, static_cast<int>(active.size()));
-               shards > 1 && static_cast<int>(active.size()) >=
-                                 cfg_.min_active_to_parallelize) {
-      delivered = run_round_parallel(prog, round, active, shards);
     } else {
-      staged_.clear();
-      ctx.round_ = round;
-      for (NodeId v : active) {
-        ctx.self_ = v;
-        prog.round(v, take_inbox(v), ctx);
-      }
+      run_turns(prog, round, active);
       // Deliver staged messages; recipients become active next round.
       delivered = deliver_serial();
     }

@@ -27,9 +27,6 @@ Dispatcher::Dispatcher(DispatcherOptions opts, serve::ArtifactCache& cache,
   saved_registry_ = obs::set_global_registry(nullptr);
   saved_sink_ = congest::set_global_trace_sink(nullptr);
   saved_injector_ = congest::set_global_fault_injector(nullptr);
-  // Jobs are the unit of parallelism; the round engine inside each job
-  // runs serially (ThreadPool::run_shards is not reentrant).
-  serial_rounds_.emplace(congest::ThreadConfig{});
 
   workers_.reserve(static_cast<std::size_t>(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
@@ -45,7 +42,6 @@ Dispatcher::~Dispatcher() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  serial_rounds_.reset();
   congest::set_global_fault_injector(saved_injector_);
   congest::set_global_trace_sink(saved_sink_);
   obs::set_global_registry(saved_registry_);

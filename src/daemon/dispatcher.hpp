@@ -39,7 +39,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <thread>
 #include <unordered_map>
@@ -201,12 +200,11 @@ class Dispatcher {
   // exclusively, fault-free jobs share it.
   std::shared_mutex fault_mu_;
 
-  // Process-global hooks detached for the dispatcher's lifetime, and the
-  // serial round-engine config (batch.hpp's caller obligations).
+  // Process-global hooks detached for the dispatcher's lifetime
+  // (batch.hpp's caller obligations).
   obs::MetricsRegistry* saved_registry_ = nullptr;
   congest::TraceSink* saved_sink_ = nullptr;
   congest::FaultInjector* saved_injector_ = nullptr;
-  std::optional<congest::ScopedThreadConfig> serial_rounds_;
 
   std::vector<std::thread> workers_;
 };

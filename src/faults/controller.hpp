@@ -44,7 +44,7 @@ struct FaultCounters {
 };
 
 /// Seeded deterministic fault injector. Mutations (the counters, the
-/// epoch) happen only from the coordinating thread driving Network::run,
+/// epoch) happen only from the thread driving Network::run,
 /// like every other sink; one controller must not observe two concurrently
 /// running networks.
 class FaultController final : public congest::FaultInjector {
@@ -61,7 +61,6 @@ class FaultController final : public congest::FaultInjector {
   bool crashed(int round, NodeId v) override;
   Fate fate(int round, NodeId from, NodeId to) override;
   std::uint64_t reorder_seed(int round, NodeId to) override;
-  int next_alive_round(int round, NodeId v) override;
 
   /// The intensity knobs this controller injects at.
   const FaultSpec& spec() const { return spec_; }

@@ -23,8 +23,9 @@
 // counter, active/delivered per-round histograms and trace samples, and —
 // folded at run end — the per-edge load histogram ("congest/edge_load"),
 // the congestion profile the low-congestion-shortcut literature reasons
-// about. All callbacks arrive on the coordinating thread in deterministic
-// serial order (network.hpp), so the fold is deterministic too.
+// about. All callbacks arrive on the thread driving Network::run, in
+// deterministic serial order (network.hpp), so the fold is deterministic
+// too.
 
 #include <vector>
 

@@ -5,8 +5,8 @@
 /// deadline-aware scheduler behind the plansep_batch CLI.
 
 // The batch scheduler: admits pipeline jobs (generate-or-load → separator
-// → DFS → verify), executes them on congest::ThreadPool, and streams one
-// JSON row per job.
+// → DFS → verify), executes them on a fan-out of worker threads, and
+// streams one JSON row per job.
 //
 // Determinism contract (argued in DESIGN.md §9): for a fixed job file and
 // cache configuration, the emitted row stream is byte-identical across
@@ -26,12 +26,11 @@
 //     admitting thread in admission order (the fault injector hook is
 //     process-global), so their retry histories are reproducible.
 //
-// Inside the parallel section the scheduler forces the CONGEST round
-// engine serial (ScopedThreadConfig{threads = 1}) — ThreadPool::run_shards
-// is not reentrant, and job-level parallelism already saturates the pool —
-// and detaches the process-global metrics registry / trace sink / fault
-// injector, folding a local counter set back into the restored registry
-// afterwards, so PLANSEP_METRICS=1 stays race-free under concurrent jobs.
+// Inside the parallel section the scheduler detaches the process-global
+// metrics registry / trace sink / fault injector, folding a local counter
+// set back into the restored registry afterwards, so PLANSEP_METRICS=1
+// stays race-free under concurrent jobs. Each job's CONGEST runs are
+// serial; jobs are the only unit of parallelism.
 
 #include <cstdint>
 #include <iosfwd>
@@ -92,7 +91,7 @@ std::vector<JobSpec> parse_job_file(std::istream& in);
 
 /// Scheduler configuration.
 struct BatchOptions {
-  int threads = 1;             ///< worker shards for fault-free jobs
+  int threads = 1;             ///< worker threads for fault-free jobs
   std::string corpus_dir;      ///< store generated instances here ("" = off)
   faults::RetryPolicy retry;   ///< recovery policy for fault-injected jobs
 };
@@ -133,12 +132,11 @@ BatchReport run_batch(const std::vector<JobSpec>& jobs,
 /// batch row for the same spec and index. `index` lands in the row's
 /// "job" field — daemon sessions pass the client's request id.
 ///
-/// Caller obligations mirror run_batch's parallel section: the CONGEST
-/// round engine must be configured serial (ScopedThreadConfig), the
+/// Caller obligations mirror run_batch's parallel section: the
 /// process-global metrics registry / trace sink / fault injector must be
 /// detached, and jobs whose spec enables faults must not run concurrently
 /// with any other job (their fault injector hook is process-global). The
-/// daemon dispatcher enforces all three.
+/// daemon dispatcher enforces both.
 JobResult run_single_job(const JobSpec& spec, std::uint64_t index,
                          const BatchOptions& opts, ArtifactCache& cache);
 

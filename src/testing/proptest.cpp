@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <sstream>
@@ -147,24 +146,6 @@ std::string CaseSpec::replay() const {
     os << " --faults=" << fault_family_name(faults);
   }
   return os.str();
-}
-
-std::string replay_env_prefix() {
-  // The env vars that change how a case executes (thread fan-out, round
-  // fusion) without changing what it computes — a failure in any of those
-  // configurations must replay under it.
-  static constexpr const char* kVars[] = {
-      "PLANSEP_THREADS", "PLANSEP_PAR_THRESHOLD", "PLANSEP_FUSION"};
-  std::string prefix;
-  for (const char* var : kVars) {
-    const char* value = std::getenv(var);
-    if (value == nullptr) continue;
-    prefix += var;
-    prefix += '=';
-    prefix += value;
-    prefix += ' ';
-  }
-  return prefix;
 }
 
 std::optional<CaseSpec> parse_replay(std::string_view line) {
@@ -438,9 +419,8 @@ std::string PropResult::summary() const {
   if (ok()) return std::to_string(cases_run) + " cases ok";
   std::string s = std::to_string(failures.size()) + " failure(s) in " +
                   std::to_string(cases_run) + " cases:";
-  const std::string env = replay_env_prefix();
   for (const Failure& f : failures) {
-    s += "\n  replay: " + env + f.replay;
+    s += "\n  replay: " + f.replay;
     std::istringstream lines(f.report);
     std::string line;
     while (std::getline(lines, line)) s += "\n    " + line;
@@ -488,7 +468,7 @@ PropResult run_property(const std::string& name, const PropConfig& cfg,
     f.shrunk = shrink_failure(spec, prop, cfg.shrink_budget, f.report);
     f.replay = f.shrunk.replay();
     std::cerr << "[proptest] FAIL " << name
-              << "; replay: " << replay_env_prefix() << f.replay << std::endl;
+              << "; replay: " << f.replay << std::endl;
     out.failures.push_back(std::move(f));
   }
   return out;

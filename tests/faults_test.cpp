@@ -1,17 +1,13 @@
 // Tests for the fault-injection layer (src/faults/ + the congest engine's
 // fault path): plan determinism and purity, per-fault delivery semantics
 // (drop/duplicate/stall/reorder, crash/restart), the empty-plan
-// byte-identity regression (metrics JSON and trace, serial and 4-thread),
-// serial-vs-threaded trace equivalence under active plans, round-fusion
-// equivalence (fused vs unfused crash gaps, with and without the
-// next_alive_round lookahead), the recovery drivers, and `--faults=`
-// replay round-trips.
+// byte-identity regression (metrics JSON and trace), the recovery drivers,
+// and `--faults=` replay round-trips.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -302,18 +298,16 @@ TEST(NetworkFaults, ReorderIsDeterministicAndNontrivial) {
 
 // -------------------------------------------- determinism regressions --
 
-// Runs a BFS + part-wise aggregation workload under `cfg` threads with an
-// optional fault controller attached; returns (metrics JSON, trace).
+// Runs a BFS + part-wise aggregation workload with an optional fault
+// controller attached; returns (metrics JSON, trace).
 struct WorkloadResult {
   std::string metrics_json;
   std::vector<testing::TraceEvent> trace;
   bool threw = false;  // a run aborted by a protocol invariant
 };
 
-WorkloadResult run_workload(int threads, FaultController* ctl,
-                            bool fuse = true) {
+WorkloadResult run_workload(FaultController* ctl) {
   const GeneratedGraph gg = planar::grid(9, 11);
-  congest::ScopedThreadConfig tc({threads, 0, fuse});
   obs::MetricsRegistry reg;
   TraceRecorder rec;
   WorkloadResult out;
@@ -347,201 +341,17 @@ WorkloadResult run_workload(int threads, FaultController* ctl,
 TEST(NetworkFaults, EmptyPlanIsByteIdenticalToNoInjector) {
   // The satellite regression: a FaultController with the empty plan
   // attached must not perturb anything observable — metrics JSON and the
-  // captured trace stay byte-identical, on the serial engine and on 4
-  // threads.
-  const WorkloadResult baseline = run_workload(1, nullptr);
+  // captured trace stay byte-identical.
+  const WorkloadResult baseline = run_workload(nullptr);
   ASSERT_FALSE(baseline.trace.empty());
   ASSERT_FALSE(baseline.threw);
-  for (const int threads : {1, 4}) {
-    FaultController empty_plan;
-    const WorkloadResult with = run_workload(threads, &empty_plan);
-    const WorkloadResult without = run_workload(threads, nullptr);
-    EXPECT_EQ(with.metrics_json, baseline.metrics_json)
-        << "threads=" << threads;
-    EXPECT_EQ(without.metrics_json, baseline.metrics_json)
-        << "threads=" << threads;
-    EXPECT_EQ(testing::first_divergence(with.trace, baseline.trace), -1)
-        << "threads=" << threads << "\n"
-        << testing::diff_traces(with.trace, baseline.trace);
-    EXPECT_GT(empty_plan.counters().runs, 0);
-    EXPECT_EQ(empty_plan.counters().injected(), 0);
-  }
-}
-
-TEST(NetworkFaults, ActivePlanIsBitIdenticalAcrossThreadCounts) {
-  // The parallel engine's serial-equivalence guarantee must survive an
-  // active plan: fault decisions happen on the coordinating thread in
-  // serial order, so traces and metrics agree for every k.
-  const FaultSpec spec = chaos_spec();
-  std::optional<WorkloadResult> serial;
-  for (const int threads : {1, 2, 4, 8}) {
-    FaultController ctl(spec, /*seed=*/2026);
-    const WorkloadResult r = run_workload(threads, &ctl);
-    EXPECT_GT(ctl.counters().injected(), 0) << "plan never fired";
-    if (!serial) {
-      serial = r;
-      continue;
-    }
-    EXPECT_EQ(r.threw, serial->threw) << "threads=" << threads;
-    EXPECT_EQ(r.metrics_json, serial->metrics_json) << "threads=" << threads;
-    EXPECT_EQ(testing::first_divergence(r.trace, serial->trace), -1)
-        << "threads=" << threads << "\n"
-        << testing::diff_traces(r.trace, serial->trace);
-  }
-}
-
-// ---------------------------------------------------------- round fusion --
-
-// CrashWindow plus the pure lookahead hint that arms the engine's
-// round-fusion fast path (FaultInjector::next_alive_round).
-class HintedCrashWindow : public FaultInjector {
- public:
-  HintedCrashWindow(NodeId v, int from, int to) : v_(v), from_(from), to_(to) {}
-  bool crashed(int round, NodeId v) override {
-    return v == v_ && round >= from_ && round < to_;
-  }
-  Fate fate(int, NodeId, NodeId) override { return Fate::kDeliver; }
-  std::uint64_t reorder_seed(int, NodeId) override { return 0; }
-  int next_alive_round(int round, NodeId v) override {
-    return crashed(round, v) ? to_ : round;
-  }
-
- private:
-  NodeId v_;
-  int from_, to_;
-};
-
-TEST(NetworkFaults, RoundFusionIsObservationallyInvisible) {
-  // Node 1 crashes for rounds 1..11; after the lost round-1 delivery
-  // nothing is active until the restart — a pure fault gap. With the
-  // lookahead hint the engine fuses that gap in one step; every
-  // observable (trace, metrics, per-node turn log, round count) must
-  // match the unfused run exactly, and an injector WITHOUT the hint
-  // (base-class next_alive_round) must leave fusion a no-op.
-  const GeneratedGraph gg = planar::path(2);
-  struct Outcome {
-    int rounds = 0;
-    long long fused = 0;
-    std::string metrics;
-    std::vector<testing::TraceEvent> trace;
-    std::vector<std::vector<std::pair<int, int>>> turns;
-    std::vector<std::vector<std::pair<int, std::int64_t>>> received;
-  };
-  const auto run = [&](bool fuse, bool hint) {
-    congest::Network net(gg.graph);
-    net.set_round_fusion(fuse);
-    HintedCrashWindow hinted(/*v=*/1, /*from=*/1, /*to=*/12);
-    CrashWindow plain(/*v=*/1, /*from=*/1, /*to=*/12);
-    net.set_fault_injector(hint ? static_cast<FaultInjector*>(&hinted)
-                                : static_cast<FaultInjector*>(&plain));
-    obs::MetricsRegistry reg;
-    TraceRecorder rec;
-    PingProgram prog(1);
-    Outcome out;
-    {
-      testing::ScopedTraceCapture cap(rec);
-      obs::ScopedMetrics metrics(reg);
-      out.rounds = net.run(prog, 64);
-    }
-    out.fused = net.fused_rounds();
-    out.metrics = reg.to_json();
-    out.trace = rec.events();
-    out.turns = prog.turns;
-    out.received = prog.received;
-    return out;
-  };
-  const Outcome baseline = run(/*fuse=*/false, /*hint=*/true);
-  EXPECT_EQ(baseline.fused, 0);
-  const Outcome unhinted = run(/*fuse=*/true, /*hint=*/false);
-  EXPECT_EQ(unhinted.fused, 0)
-      << "default next_alive_round must keep fusion a no-op";
-  const Outcome fused = run(/*fuse=*/true, /*hint=*/true);
-  EXPECT_GT(fused.fused, 0) << "the fault gap was never fused";
-  for (const Outcome* other : {&unhinted, &fused}) {
-    EXPECT_EQ(other->rounds, baseline.rounds);
-    EXPECT_EQ(other->metrics, baseline.metrics);
-    EXPECT_EQ(other->turns, baseline.turns);
-    EXPECT_EQ(other->received, baseline.received);
-    EXPECT_EQ(testing::first_divergence(other->trace, baseline.trace), -1)
-        << testing::diff_traces(other->trace, baseline.trace);
-  }
-}
-
-TEST(NetworkFaults, RoundFusionMatchesUnfusedUnderActivePlan) {
-  // Fused vs unfused under a real FaultPlan with guaranteed crash
-  // windows: traces, metrics JSON, and the controller's fault counters
-  // must be byte-identical, and the fused run must actually fuse.
-  const GeneratedGraph gg = planar::path(3);
-  FaultSpec spec;
-  spec.crash_prob = 1.0;
-  spec.crash_length = 6;
-  spec.window_rounds = 16;
-  struct Outcome {
-    int rounds = 0;
-    long long fused = 0;
-    std::string metrics;
-    std::vector<testing::TraceEvent> trace;
-    std::vector<std::vector<std::pair<int, int>>> turns;
-    FaultCounters counters;
-  };
-  const auto run = [&](bool fuse) {
-    congest::Network net(gg.graph);
-    net.set_round_fusion(fuse);
-    FaultController ctl(spec, /*seed=*/77);
-    obs::MetricsRegistry reg;
-    TraceRecorder rec;
-    PingProgram prog(8);
-    Outcome out;
-    {
-      testing::ScopedTraceCapture cap(rec);
-      obs::ScopedMetrics metrics(reg);
-      ScopedFaultInjection inject(ctl);
-      out.rounds = net.run(prog, 128);
-    }
-    out.fused = net.fused_rounds();
-    out.metrics = reg.to_json();
-    out.trace = rec.events();
-    out.turns = prog.turns;
-    out.counters = ctl.counters();
-    return out;
-  };
-  const Outcome unfused = run(/*fuse=*/false);
-  EXPECT_EQ(unfused.fused, 0);
-  ASSERT_GT(unfused.counters.crashed, 0) << "plan never crashed a node";
-  const Outcome fused = run(/*fuse=*/true);
-  EXPECT_GT(fused.fused, 0) << "no fault gap was fused";
-  EXPECT_EQ(fused.rounds, unfused.rounds);
-  EXPECT_EQ(fused.metrics, unfused.metrics);
-  EXPECT_EQ(fused.turns, unfused.turns);
-  EXPECT_EQ(fused.counters.crashed, unfused.counters.crashed)
-      << "fusion must replay exactly the crash queries the gap would make";
-  EXPECT_EQ(fused.counters.injected(), unfused.counters.injected());
-  EXPECT_EQ(testing::first_divergence(fused.trace, unfused.trace), -1)
-      << testing::diff_traces(fused.trace, unfused.trace);
-}
-
-TEST(NetworkFaults, RoundFusionUnderChaosAndThreadsIsByteIdentical) {
-  // The full pipeline workload under the chaos plan, fused vs unfused,
-  // serial and threaded: outcome, metrics JSON, trace, and counters all
-  // agree. Fresh controllers with the same seed keep both runs on the
-  // same epoch-0 plan.
-  const FaultSpec spec = chaos_spec();
-  for (const int threads : {1, 4}) {
-    FaultController fused_ctl(spec, /*seed=*/2026);
-    FaultController unfused_ctl(spec, /*seed=*/2026);
-    const WorkloadResult fused = run_workload(threads, &fused_ctl, true);
-    const WorkloadResult unfused = run_workload(threads, &unfused_ctl, false);
-    EXPECT_EQ(fused.threw, unfused.threw) << "threads=" << threads;
-    EXPECT_EQ(fused.metrics_json, unfused.metrics_json)
-        << "threads=" << threads;
-    EXPECT_EQ(fused_ctl.counters().injected(), unfused_ctl.counters().injected())
-        << "threads=" << threads;
-    EXPECT_EQ(fused_ctl.counters().crashed, unfused_ctl.counters().crashed)
-        << "threads=" << threads;
-    EXPECT_EQ(testing::first_divergence(fused.trace, unfused.trace), -1)
-        << "threads=" << threads << "\n"
-        << testing::diff_traces(fused.trace, unfused.trace);
-  }
+  FaultController empty_plan;
+  const WorkloadResult with = run_workload(&empty_plan);
+  EXPECT_EQ(with.metrics_json, baseline.metrics_json);
+  EXPECT_EQ(testing::first_divergence(with.trace, baseline.trace), -1)
+      << testing::diff_traces(with.trace, baseline.trace);
+  EXPECT_GT(empty_plan.counters().runs, 0);
+  EXPECT_EQ(empty_plan.counters().injected(), 0);
 }
 
 TEST(FaultController, EpochReseedsPerRunAndCountsInjections) {
@@ -675,67 +485,6 @@ TEST(FaultReplay, RoundTripsThroughParseReplay) {
   // Fault-free specs keep the pre-fault replay format.
   spec.faults = testing::FaultFamily::kNone;
   EXPECT_EQ(spec.replay().find("--faults"), std::string::npos);
-}
-
-// The replay line carries the active execution env: a failure seen under
-// PLANSEP_THREADS / PLANSEP_FUSION (e.g. a divergence that only shows
-// fused and parallel) must replay under exactly that configuration, not
-// the defaults.
-TEST(FaultReplay, ReplayLinePrintsActiveExecutionEnv) {
-  const auto saved = [](const char* var) -> std::optional<std::string> {
-    const char* v = std::getenv(var);
-    if (v == nullptr) return std::nullopt;
-    return std::string(v);
-  };
-  const auto restore = [](const char* var,
-                          const std::optional<std::string>& value) {
-    if (value.has_value()) {
-      ::setenv(var, value->c_str(), 1);
-    } else {
-      ::unsetenv(var);
-    }
-  };
-  const auto threads = saved("PLANSEP_THREADS");
-  const auto threshold = saved("PLANSEP_PAR_THRESHOLD");
-  const auto fusion = saved("PLANSEP_FUSION");
-
-  ::unsetenv("PLANSEP_THREADS");
-  ::unsetenv("PLANSEP_PAR_THRESHOLD");
-  ::unsetenv("PLANSEP_FUSION");
-  EXPECT_EQ(testing::replay_env_prefix(), "");
-
-  ::setenv("PLANSEP_THREADS", "4", 1);
-  ::setenv("PLANSEP_FUSION", "off", 1);
-  EXPECT_EQ(testing::replay_env_prefix(),
-            "PLANSEP_THREADS=4 PLANSEP_FUSION=off ");
-
-  // The prefixed line still replays: the parser sees only the -- tokens.
-  testing::CaseSpec spec;
-  spec.family = planar::Family::kGrid;
-  spec.n = 48;
-  spec.seed = 7;
-  const std::string line = testing::replay_env_prefix() + spec.replay();
-  const auto parsed =
-      testing::parse_replay(line.substr(line.find("--seed")));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->seed, spec.seed);
-
-  // A failing property's summary leads every replay command with it.
-  testing::PropResult failed;
-  failed.cases_run = 1;
-  testing::Failure f;
-  f.original = spec;
-  f.shrunk = spec;
-  f.replay = spec.replay();
-  f.report = "invariant violated";
-  failed.failures.push_back(f);
-  EXPECT_NE(failed.summary().find("replay: PLANSEP_THREADS=4 "),
-            std::string::npos)
-      << failed.summary();
-
-  restore("PLANSEP_THREADS", threads);
-  restore("PLANSEP_PAR_THRESHOLD", threshold);
-  restore("PLANSEP_FUSION", fusion);
 }
 
 TEST(FaultReplay, FamilyNamesRoundTrip) {

@@ -56,8 +56,7 @@ EdgeList edge_list(const planar::EmbeddedGraph& g) {
 bool agrees(const Input& in) {
   const auto lr = planar::planar_embedding_with_witness(in.n, in.edges);
   const auto dmp = testing::dmp_planar_embedding_with_witness(in.n, in.edges);
-  const std::string replay =
-      "replay: " + testing::replay_env_prefix() + in.replay;
+  const std::string replay = "replay: " + in.replay;
   if (lr.planar() != dmp.planar()) {
     ADD_FAILURE() << "verdict: left-right " << lr.planar() << ", DMP "
                   << dmp.planar() << "; " << replay;

@@ -2,9 +2,7 @@
 // hand-picked instances: Awerbuch's message-level DFS must produce a valid
 // DFS tree (the Theorem 2 oracle) and the randomized-estimate separator a
 // balanced cycle separator (the Theorem 1 oracle) on every seeded case the
-// harness generates — including mutated ones. Awerbuch is additionally
-// checked for serial/parallel trace equivalence, since its token-passing
-// rounds exercise the executor's near-empty-active-set path.
+// harness generates — including mutated ones.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +14,6 @@
 #include "dfs/partial_tree.hpp"
 #include "subroutines/part_context.hpp"
 #include "testing/proptest.hpp"
-#include "testing/trace.hpp"
 #include "util/rng.hpp"
 
 namespace plansep::testing {
@@ -73,33 +70,6 @@ TEST(ProptestBaselines, AwerbuchSatisfiesDfsOracle) {
   const PropResult res = run_property("awerbuch_dfs", cfg, prop);
   EXPECT_TRUE(res.ok()) << res.summary();
   EXPECT_EQ(res.cases_run, cfg.cases);
-}
-
-TEST(ProptestBaselines, AwerbuchParallelTraceEquivalentToSerial) {
-  const Property prop = [](const Instance& inst, InvariantReport& rep) {
-    const auto& g = inst.gg.graph;
-    if (!connected(g)) return;
-    auto capture = [&](const congest::ThreadConfig& cfg) {
-      congest::ScopedThreadConfig guard(cfg);
-      TraceRecorder rec;
-      ScopedTraceCapture cap(rec);
-      baselines::awerbuch_dfs(g, inst.gg.root_hint);
-      return rec.events();
-    };
-    const auto serial = capture({1, 64});
-    const auto par = capture({4, 0});
-    if (first_divergence(serial, par) != -1) {
-      rep.fail("awerbuch serial vs 4-thread divergence:\n" +
-               diff_traces(serial, par));
-    }
-  };
-  PropConfig cfg;
-  cfg.cases = 24;
-  cfg.min_n = 12;
-  cfg.max_n = 48;
-  cfg.base_seed = 41;
-  const PropResult res = run_property("awerbuch_parallel", cfg, prop);
-  EXPECT_TRUE(res.ok()) << res.summary();
 }
 
 TEST(ProptestBaselines, RandomizedSeparatorSatisfiesSeparatorOracle) {

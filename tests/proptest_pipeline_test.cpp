@@ -10,7 +10,6 @@
 
 #include <set>
 #include <string>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
@@ -102,119 +101,6 @@ TEST(ProptestPipeline, TraceCaptureIsDeterministicAndDiffable) {
   const auto c = capture(other);
   EXPECT_NE(first_divergence(a, c), -1);
   EXPECT_FALSE(diff_traces(a, c).empty());
-}
-
-TEST(ProptestPipeline, ParallelPipelineTraceEquivalentToSerial) {
-  // For every generator family: the full pipeline (engine setup BFS waves
-  // plus the message-level aggregation protocol) run serially and with the
-  // k-thread round executor, k in {2, 4, 8}, must produce byte-identical
-  // CONGEST traces. first_divergence pinpoints the first mismatch if not.
-  const Property par_equiv = [](const Instance& inst, InvariantReport& rep) {
-    auto capture = [&](const congest::ThreadConfig& cfg) {
-      congest::ScopedThreadConfig guard(cfg);
-      TraceRecorder rec;
-      ScopedTraceCapture cap(rec);
-      InvariantReport inner;
-      PipelineOptions opt;
-      opt.run_hierarchy = false;  // keep each doubled run small
-      run_pipeline_checked(inst, opt, inner);
-      // Extra message-level traffic so the comparison covers the partwise
-      // program's multi-part streaming, not just BFS waves.
-      const auto& g = inst.gg.graph;
-      shortcuts::PartwiseEngine engine(g, inst.gg.root_hint);
-      std::vector<int> part(static_cast<std::size_t>(g.num_nodes()));
-      std::vector<std::int64_t> value(static_cast<std::size_t>(g.num_nodes()));
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        part[static_cast<std::size_t>(v)] = v % 4;
-        value[static_cast<std::size_t>(v)] = (5 * v) % 19;
-      }
-      shortcuts::message_level_aggregate(g, engine.global_tree(), part, value,
-                                         shortcuts::AggOp::kMax);
-      return std::make_pair(rec.events(), inner.to_string());
-    };
-    const auto [serial, serial_rep] = capture({1, 64});
-    if (serial.empty()) rep.fail("serial run captured no trace");
-    for (const int k : {2, 4, 8}) {
-      const auto [par, par_rep] = capture({k, 0});
-      const int at = first_divergence(serial, par);
-      if (at != -1) {
-        rep.fail("serial vs " + std::to_string(k) + "-thread divergence:\n" +
-                 diff_traces(serial, par));
-      }
-      if (serial_rep != par_rep) {
-        rep.fail("oracle reports differ between serial and " +
-                 std::to_string(k) + "-thread runs");
-      }
-    }
-  };
-
-  for (Family f : default_families()) {
-    PropConfig cfg;
-    cfg.cases = 5;
-    cfg.min_n = 16;
-    cfg.max_n = 56;
-    cfg.families = {f};
-    cfg.mutation_probability = 0.3;
-    cfg.base_seed = 0x7a5 + static_cast<std::uint64_t>(f);
-    const PropResult res = run_property("parallel_equivalence", cfg, par_equiv);
-    EXPECT_TRUE(res.ok()) << planar::family_name(f) << ": " << res.summary();
-    EXPECT_EQ(res.cases_run, cfg.cases);
-  }
-}
-
-TEST(ProptestPipeline, ParallelPipelineMetricsByteIdenticalToSerial) {
-  // Acceptance bar for the observability subsystem: the metrics JSON —
-  // merged round clock, message counter, congestion histograms, span
-  // timeline with notes — must be byte-identical between a serial run and
-  // a k-thread run for k in {2, 4, 8}, for every generator family. The sink
-  // replay order and the coordinator-thread-only span discipline make this
-  // hold exactly, not approximately.
-  const Property metrics_equiv = [](const Instance& inst,
-                                    InvariantReport& rep) {
-    auto measure = [&](const congest::ThreadConfig& cfg) {
-      congest::ScopedThreadConfig guard(cfg);
-      obs::MetricsRegistry reg;
-      {
-        obs::ScopedMetrics scope(reg);
-        InvariantReport inner;
-        PipelineOptions opt;
-        opt.run_hierarchy = false;  // keep each doubled run small
-        run_pipeline_checked(inst, opt, inner);
-      }
-      return reg.to_json();
-    };
-    const std::string serial = measure({1, 64});
-    if (serial.find("\"name\"") == std::string::npos) {
-      rep.fail("serial run recorded no spans");
-    }
-    for (const int k : {2, 4, 8}) {
-      const std::string par = measure({k, 0});
-      if (serial == par) continue;
-      // Find the first differing line for a readable report.
-      std::size_t line_start = 0;
-      for (std::size_t i = 0; i < std::min(serial.size(), par.size()); ++i) {
-        if (serial[i] != par[i]) break;
-        if (serial[i] == '\n') line_start = i + 1;
-      }
-      rep.fail("serial vs " + std::to_string(k) +
-               "-thread metrics JSON diverge near: " +
-               serial.substr(line_start, 160));
-    }
-  };
-
-  for (Family f : default_families()) {
-    PropConfig cfg;
-    cfg.cases = 4;
-    cfg.min_n = 16;
-    cfg.max_n = 56;
-    cfg.families = {f};
-    cfg.mutation_probability = 0.3;
-    cfg.base_seed = 0x0b5 + static_cast<std::uint64_t>(f);
-    const PropResult res =
-        run_property("parallel_metrics_equality", cfg, metrics_equiv);
-    EXPECT_TRUE(res.ok()) << planar::family_name(f) << ": " << res.summary();
-    EXPECT_EQ(res.cases_run, cfg.cases);
-  }
 }
 
 TEST(ProptestPipeline, GlobalSinkDetachesCleanly) {
