@@ -38,7 +38,7 @@ class BfsProgram : public NodeProgram {
       out_->parent_dart[static_cast<std::size_t>(v)] =
           g_->find_dart(v, first.from);
       // height is folded from the depth array after the run: round() may
-      // only mutate per-node state (NodeProgram's concurrency contract).
+      // only mutate per-node state (NodeProgram's locality rule).
       parent = first.from;
     }
     for (DartId d : g_->rotation(v)) {
